@@ -56,11 +56,9 @@ from .profiles import (
 from .reports import BoundCheck, VerificationReport
 from .spaces import (
     Correspondence,
-    QuotientPoint,
     SampledSpace,
     collapse_experiment,
     diameter,
-    edge_length,
     gh_upper_bound,
     quotient_dist_round,
     sample_annulus,

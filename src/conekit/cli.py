@@ -55,7 +55,9 @@ class RunConfig:
     def __post_init__(self):
         if self.fmt not in {"csv", "json"}:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        for name in ("grid", "tol", "rmax", "n", "mass", "ceiling"):
+        if self.grid < 64:
+            raise ValueError("--grid must be at least 64")
+        for name in ("tol", "rmax", "n", "mass", "ceiling"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         if self.neck_slope is not None and self.neck_slope <= 0:
@@ -116,13 +118,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     profile = bump.load_profile(cfg.profile)
     if cfg.negative_control:
         profile = verify.negative_control(profile)
-    reports = [verify.verify_region(profile, region, n_grid=max(cfg.grid, 64),
+    reports = [verify.verify_region(profile, region, n_grid=cfg.grid,
                                     tol=cfg.tol)
                for region in verify.standard_regions(profile, cfg.rmax)]
     reports.append(verify.verify_nonneg(profile, r_max=cfg.rmax,
-                                        n_grid=max(cfg.grid, 64), tol=cfg.tol))
+                                        n_grid=cfg.grid, tol=cfg.tol))
     _write_reports(reports, cfg, "verification")
-    radii = np.linspace(verify.R_FLOOR, cfg.rmax, max(cfg.grid, 64))
+    radii = np.linspace(verify.R_FLOOR, cfg.rmax, cfg.grid)
     verify.write_curve_csv(os.path.join(cfg.out, "ricci_curve.csv"), profile,
                            radii, comment=f"generated {_timestamp()}")
     ok = True

@@ -1,11 +1,11 @@
 """Finite metric-space samples of the warped cone and its collapse.
 
-Spaces are sampled as (radius, unit quaternion) pairs, connected by a
-proximity graph, weighted with first-order Riemannian edge lengths, and
-completed to metric spaces by all-pairs shortest paths.  Distances are
-graph geodesics, so symmetry and the triangle inequality hold by
-construction; the quaternion-group quotient is realized by minimizing
-edge lengths over the 8 lifts of each endpoint.
+Spaces are sampled as (radius, unit quaternion) pairs and built in three
+stages: ``neighbor_graph`` picks edges by coordinate proximity, ``weigh``
+gives them first-order Riemannian lengths, and ``geodesics`` completes the
+weighted graph to a metric by all-pairs shortest paths.  The
+quaternion-group quotient is realized by minimizing edge lengths over the
+8 lifts of each endpoint.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from .profiles import ProfilePair, cone_profile
 from .quaternions import BASIS, Q8, canonical_q8, qconj, qlog_vec, qmul, random_unit
 
 __all__ = [
-    "QuotientPoint",
     "SampledSpace",
     "Correspondence",
     "quotient_dist_round",
-    "edge_length",
+    "neighbor_graph",
+    "weigh",
+    "geodesics",
     "sample_annulus",
     "sample_sphere",
     "space_from_points",
@@ -37,27 +38,6 @@ __all__ = [
 ]
 
 _MIN_SAMPLE = 50
-
-
-@dataclass(frozen=True)
-class QuotientPoint:
-    """A point of the cone over the quotient sphere, as (radius, orbit rep).
-
-    The quaternion is stored as the canonical (lexicographically maximal)
-    element of its group orbit, making equality of quotient points
-    decidable by component comparison.
-    """
-
-    r: float
-    q: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("radius must be positive")
-        qa = np.asarray(self.q, dtype=float)
-        if abs(np.linalg.norm(qa) - 1.0) > 1e-12:
-            raise ValueError("quaternion must be unit length")
-        object.__setattr__(self, "q", tuple(canonical_q8(qa)))
 
 
 def quotient_dist_round(q1, q2) -> float:
@@ -75,9 +55,11 @@ def quotient_dist_round(q1, q2) -> float:
 
 @dataclass
 class SampledSpace:
-    """A finite metric space with its sampling provenance.
+    """A finite metric space, the weighted graph it was completed from, and
+    its sampling provenance.
 
-    ``dist`` is a full symmetric matrix of graph-geodesic distances.
+    ``dist`` is a full symmetric matrix of graph-geodesic distances over the
+    undirected ``edges`` (pairs ``i < j``) with lengths ``weights``.
     ``quats`` is None for spaces built from a bare distance matrix (the
     points are then opaque labels).
     """
@@ -85,92 +67,65 @@ class SampledSpace:
     radii: np.ndarray | None
     quats: np.ndarray | None
     dist: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
 
-    @property
-    def points(self) -> list:
-        if self.quats is None:
-            return list(range(self.n))
-        if self.provenance.get("group") == "trivial":
-            return [(float(r), tuple(q)) for r, q in zip(self.radii, self.quats)]
-        return [QuotientPoint(float(r), tuple(q))
-                for r, q in zip(self.radii, self.quats)]
-
     def diameter(self) -> float:
         return diameter(self)
 
-    def metric_axioms_report(self, n_pivots: int = 128) -> dict:
-        """Symmetry / identity / triangle diagnostics.
+    def metric_axioms_report(self) -> dict:
+        """Symmetry, zero diagonal, and a complete edge certificate.
 
-        Triangle inequality is checked through every pivot when the space
-        is small and through a deterministic pivot subset otherwise; the
-        reported violation is the worst ``d(i,j) - d(i,k) - d(k,j)`` seen.
+        For every stored edge (a, b) the certificate checks
+        ``max_s |d[s,a] - d[s,b]| <= w(a,b)`` over all points s (compared
+        row-wise, which is the same when d is symmetric);
+        ``edge_violation`` is the worst ``|d[s,a] - d[s,b]| - w(a,b)``, or 0
+        when none is positive.
+
+        Spaces from an explicit matrix store every pair with ``w = d``, so
+        there the certificate is exactly the triangle inequality over all
+        triples.  For graph spaces it is the shortest-path optimality
+        condition: when d is symmetric, has a zero diagonal and its entries
+        are lengths of actual paths (as Dijkstra returns), walking any path
+        from s to t edge by edge gives ``d[s,t] <=`` its length (up to the
+        tolerance per hop), so d is the shortest-path metric of the graph
+        and the triangle inequality holds for every triple.
         """
         d = self.dist
-        n = self.n
         sym = bool(np.array_equal(d, d.T))
         diag = bool(np.all(np.diag(d) == 0.0))
-        pivots = range(n) if n <= 800 else np.unique(
-            np.linspace(0, n - 1, n_pivots).astype(int))
         worst = 0.0
-        for k in pivots:
-            slack = d - (d[:, k][:, None] + d[k, :][None, :])
+        # edges per pass: about 2 MB of gathered rows, which stays in cache
+        block = max(1, (1 << 18) // max(self.n, 1))
+        for lo in range(0, len(self.edges), block):
+            a, b = self.edges[lo:lo + block].T
+            gap = d[a] - d[b]
+            np.abs(gap, out=gap)
+            slack = gap.max(axis=1) - self.weights[lo:lo + block]
             worst = max(worst, float(slack.max()))
         return {"symmetric": sym, "diag_zero": diag,
-                "triangle_violation": worst,
+                "edge_violation": worst,
                 "ok": sym and diag and worst <= 1e-12 * max(1.0, float(d.max()))}
-
-    def save_npz(self, path: str) -> None:
-        """Compact binary cache (condensed upper-triangle distances)."""
-        iu = np.triu_indices(self.n, k=1)
-        np.savez_compressed(
-            path, n=self.n, condensed=self.dist[iu],
-            radii=self.radii if self.radii is not None else np.array([]),
-            quats=self.quats if self.quats is not None else np.array([]),
-            provenance=np.array(repr(self.provenance)))
-
-    @classmethod
-    def load_npz(cls, path: str) -> "SampledSpace":
-        data = np.load(path, allow_pickle=False)
-        n = int(data["n"])
-        dist = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        dist[iu] = data["condensed"]
-        dist += dist.T
-        radii = data["radii"] if data["radii"].size else None
-        quats = data["quats"] if data["quats"].size else None
-        return cls(radii=radii, quats=quats, dist=dist,
-                   provenance={"loaded_from": path})
-
-    def to_csv(self, points_path: str, dist_path: str) -> None:
-        """Point table plus condensed distance matrix as two CSV files."""
-        with open(points_path, "w") as fh:
-            fh.write("index,r,qw,qx,qy,qz\n")
-            for i in range(self.n):
-                if self.quats is None:
-                    fh.write(f"{i},,,,,\n")
-                else:
-                    fields = [float(self.radii[i])] + [float(c) for c in self.quats[i]]
-                    fh.write(",".join([str(i)] + [repr(v) for v in fields]) + "\n")
-        iu = np.triu_indices(self.n, k=1)
-        with open(dist_path, "w") as fh:
-            fh.write("i,j,dist\n")
-            for i, j, v in zip(iu[0], iu[1], self.dist[iu]):
-                fh.write(f"{i},{j},{float(v)!r}\n")
 
 
 def from_distance_matrix(dist, provenance=None) -> SampledSpace:
-    """Wrap an explicit symmetric distance matrix (points become labels)."""
+    """Wrap an explicit symmetric distance matrix (points become labels).
+
+    Every pair is stored as an edge weighted by its distance.
+    """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     if not np.array_equal(d, d.T) or np.any(np.diag(d) != 0.0):
         raise ValueError("distance matrix must be symmetric with zero diagonal")
+    iu = np.triu_indices(len(d), k=1)
     return SampledSpace(radii=None, quats=None, dist=d,
+                        edges=np.stack(iu, axis=1), weights=d[iu],
                         provenance=provenance or {"kind": "explicit"})
 
 
@@ -207,8 +162,53 @@ def _proximity(radii, quats, group, block=512) -> np.ndarray:
     return out
 
 
-def _edge_weights(profile, radii, quats, edges, group) -> np.ndarray:
-    """First-order Riemannian lengths of the given point pairs.
+def _default_k(n: int) -> int:
+    # dense enough that graph-geodesic stretch stays in the low percents
+    return max(10, int(np.ceil(3.5 * n ** 0.25)))
+
+
+def neighbor_graph(radii, quats, group, k=None, radius=None) -> np.ndarray:
+    """Stage 1: proximity edges, as sorted unique pairs ``i < j``.
+
+    Neighbors come from coordinate proximity: the k nearest per point
+    (grown until the graph connects), or everything within ``radius`` when
+    given -- radius graphs are edge-monotone under point insertion, which
+    the refinement tests rely on.
+    """
+    n = len(radii)
+    if n < 2:
+        raise ValueError("need at least two points")
+    prox = _proximity(radii, quats, group)
+    np.fill_diagonal(prox, np.inf)
+
+    if radius is not None:
+        ii, jj = np.nonzero(prox <= radius)
+        keep = ii < jj
+        edges = np.stack([ii[keep], jj[keep]], axis=1)
+        if edges.size == 0:
+            raise ValueError("radius graph has no edges; increase radius")
+        return edges
+    k = k or _default_k(n)
+    while True:
+        kk = min(k, n - 1)
+        nbr = np.argpartition(prox, kk - 1, axis=1)[:, :kk]
+        ii = np.repeat(np.arange(n), kk)
+        jj = nbr.ravel()
+        a = np.minimum(ii, jj)
+        b = np.maximum(ii, jj)
+        edges = np.unique(np.stack([a, b], axis=1), axis=0)
+        adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                         shape=(n, n))
+        ncomp, _ = connected_components(adj, directed=False)
+        if ncomp == 1:
+            return edges
+        if kk == n - 1:
+            raise ValueError("proximity graph disconnected at k = n-1")
+        k = int(np.ceil(k * 1.5)) + 1
+
+
+def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
+    """Stage 2: first-order Riemannian lengths of the given point pairs.
 
     The chord between endpoint fibers is read off from the quaternion
     logarithm of ``qa^-1 (g qb)``: its (i, j, k) components are the
@@ -231,65 +231,10 @@ def _edge_weights(profile, radii, quats, edges, group) -> np.ndarray:
     return np.sqrt(best)
 
 
-def edge_length(profile: ProfilePair, r_a: float, q_a, r_b: float, q_b,
-                group: str = "q8") -> float:
-    """First-order length of the direct edge between two sample points."""
-    radii = np.array([r_a, r_b], dtype=float)
-    quats = np.stack([np.asarray(q_a, dtype=float), np.asarray(q_b, dtype=float)])
-    w = _edge_weights(profile, radii, quats, np.array([[0, 1]]), group)
-    return float(w[0])
-
-
-def _default_k(n: int) -> int:
-    # dense enough that graph-geodesic stretch stays in the low percents
-    return max(10, int(np.ceil(3.5 * n ** 0.25)))
-
-
-def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
-                      k=None, radius=None, provenance=None) -> SampledSpace:
-    """Build the graph-geodesic metric space on an explicit point set.
-
-    Neighbors come from coordinate proximity: the k nearest per point
-    (grown until the graph connects), or everything within ``radius`` when
-    given -- radius graphs are edge-monotone under point insertion, which
-    the refinement tests rely on.
-    """
-    radii = np.asarray(radii, dtype=float)
-    quats = np.asarray(quats, dtype=float)
-    n = len(radii)
-    if n < 2:
-        raise ValueError("need at least two points")
-    prox = _proximity(radii, quats, group)
-    np.fill_diagonal(prox, np.inf)
-
-    if radius is not None:
-        ii, jj = np.nonzero(prox <= radius)
-        keep = ii < jj
-        edges = np.stack([ii[keep], jj[keep]], axis=1)
-        if edges.size == 0:
-            raise ValueError("radius graph has no edges; increase radius")
-    else:
-        k = k or _default_k(n)
-        while True:
-            kk = min(k, n - 1)
-            nbr = np.argpartition(prox, kk - 1, axis=1)[:, :kk]
-            ii = np.repeat(np.arange(n), kk)
-            jj = nbr.ravel()
-            a = np.minimum(ii, jj)
-            b = np.maximum(ii, jj)
-            edges = np.unique(np.stack([a, b], axis=1), axis=0)
-            adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                             shape=(n, n))
-            ncomp, _ = connected_components(adj, directed=False)
-            if ncomp == 1 or kk == n - 1:
-                if ncomp > 1:
-                    raise ValueError("proximity graph disconnected at k = n-1")
-                break
-            k = int(np.ceil(k * 1.5)) + 1
-
-    w = _edge_weights(profile, radii, quats, edges, group)
+def geodesics(n: int, edges, weights) -> np.ndarray:
+    """Stage 3: all-pairs Dijkstra distances over the weighted graph on n points."""
     graph = csr_matrix(
-        (np.concatenate([w, w]),
+        (np.concatenate([weights, weights]),
          (np.concatenate([edges[:, 0], edges[:, 1]]),
           np.concatenate([edges[:, 1], edges[:, 0]]))),
         shape=(n, n))
@@ -298,31 +243,45 @@ def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
     np.fill_diagonal(dist, 0.0)
     if np.any(np.isinf(dist)):
         raise ValueError("graph disconnected after weighting")
+    return dist
+
+
+def _graph_space(profile, radii, quats, edges, group, provenance) -> SampledSpace:
+    w = weigh(profile, radii, quats, edges, group)
     prov = dict(provenance or {})
     prov.setdefault("group", group)
-    prov.setdefault("n", n)
+    prov.setdefault("n", len(radii))
     prov.setdefault("edges", int(len(edges)))
-    return SampledSpace(radii=radii, quats=quats, dist=dist, provenance=prov)
+    return SampledSpace(radii=radii, quats=quats,
+                        dist=geodesics(len(radii), edges, w),
+                        edges=edges, weights=w, provenance=prov)
 
 
-def _draw_points(rng, n, r_in, r_out, group, include_quats=None):
-    extra = 0 if include_quats is None else len(include_quats)
-    m = n - extra
+def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
+                      k=None, radius=None, provenance=None) -> SampledSpace:
+    """Build the graph-geodesic metric space on an explicit point set.
+
+    The three stages in order: ``neighbor_graph`` (with ``k`` or
+    ``radius``), ``weigh`` under ``profile``, ``geodesics``.
+    """
+    radii = np.asarray(radii, dtype=float)
+    quats = np.asarray(quats, dtype=float)
+    edges = neighbor_graph(radii, quats, group, k=k, radius=radius)
+    return _graph_space(profile, radii, quats, edges, group, provenance)
+
+
+def _draw_points(rng, n, r_in, r_out, group):
     # stratified radii: one draw per bin of a uniform partition
-    u = (np.arange(m) + rng.uniform(size=m)) / m
+    u = (np.arange(n) + rng.uniform(size=n)) / n
     radii = r_in + (r_out - r_in) * u
-    quats = random_unit(rng, m)
-    if extra:
-        radii = np.concatenate([np.full(extra, 0.5 * (r_in + r_out)), radii])
-        quats = np.concatenate([np.asarray(include_quats, dtype=float), quats])
+    quats = random_unit(rng, n)
     if group == "q8":
         quats = canonical_q8(quats)
     return radii, quats
 
 
 def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
-                   seed: int, *, k=None, group="q8",
-                   include_quats=None) -> SampledSpace:
+                   seed: int, *, k=None, group="q8") -> SampledSpace:
     """Quasi-uniform sample of the annulus r_in < r < r_out under the profile metric.
 
     Radii are stratified over the annulus, fibers drawn uniformly on the
@@ -334,7 +293,7 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
     if n < _MIN_SAMPLE:
         raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
     rng = np.random.default_rng(seed)
-    radii, quats = _draw_points(rng, n, r_in, r_out, group, include_quats)
+    radii, quats = _draw_points(rng, n, r_in, r_out, group)
     return space_from_points(
         profile, radii, quats, group=group, k=k,
         provenance={"kind": "annulus", "r_in": r_in, "r_out": r_out,
@@ -342,14 +301,14 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
 
 
 def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
-                  k=None, group="q8", include_quats=None) -> SampledSpace:
+                  k=None, group="q8") -> SampledSpace:
     """Fixed-radius sample: the orbit sphere at radius r with its induced metric."""
     if r <= 0:
         raise ValueError("radius must be positive")
     if n < _MIN_SAMPLE:
         raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
     rng = np.random.default_rng(seed)
-    _, quats = _draw_points(rng, n, r, r, group, include_quats)
+    _, quats = _draw_points(rng, n, r, r, group)
     radii = np.full(n, float(r))
     return space_from_points(
         profile, radii, quats, group=group, k=k,
@@ -384,28 +343,9 @@ class Correspondence:
         idx = np.arange(n)
         return cls(pairs=np.stack([idx, idx], axis=1))
 
-    @classmethod
-    def coordinate_matching(cls, s1: SampledSpace, s2: SampledSpace) -> "Correspondence":
-        """Match points by (r, orbit) coordinates, nearest-neighbor completed."""
-        if s1.quats is None or s2.quats is None:
-            raise ValueError("coordinate matching needs coordinate samples")
-        group = s1.provenance.get("group", "q8")
-        prox = _proximity_cross(s1, s2, group)
-        fwd = np.stack([np.arange(s1.n), prox.argmin(axis=1)], axis=1)
-        bwd = np.stack([prox.argmin(axis=0), np.arange(s2.n)], axis=1)
-        return cls(pairs=np.unique(np.concatenate([fwd, bwd]), axis=0))
-
     def covers(self, n1: int, n2: int) -> bool:
         return (len(np.unique(self.pairs[:, 0])) == n1
                 and len(np.unique(self.pairs[:, 1])) == n2)
-
-
-def _proximity_cross(s1, s2, group):
-    cosang = np.clip(_orbit_cos_block(s1.quats, s2.quats, group), -1.0, 1.0)
-    ang = np.arccos(cosang)
-    dr = s1.radii[:, None] - s2.radii[None, :]
-    rbar = 0.5 * (s1.radii[:, None] + s2.radii[None, :])
-    return np.hypot(dr, rbar * ang)
 
 
 def gh_upper_bound(s1: SampledSpace, s2: SampledSpace,
@@ -469,7 +409,7 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     a point set shared with a sample of the exact cone over the round
     quotient link at slope ``profile.neck_slope``.  The identity
     correspondence on the shared points yields the GH upper bound; because
-    the two spaces also share the proximity graph, graph noise largely
+    the two spaces also share one proximity graph, graph noise largely
     cancels and the bound tracks the genuine metric discrepancy, which
     shrinks linearly in eps.
     """
@@ -490,12 +430,13 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     for idx, eps in enumerate(eps_arr):
         rng = np.random.default_rng([seed, idx])
         radii, quats = _draw_points(rng, n, eps * r_inner, r_outer, "q8")
-        smooth_space = space_from_points(
-            profile.rescale(eps), radii, quats, group="q8", k=k,
-            provenance={"kind": "collapse-smooth", "eps": eps, "seed": seed})
-        cone_space = space_from_points(
-            cone, radii, quats, group="q8", k=k,
-            provenance={"kind": "collapse-cone", "eps": eps, "seed": seed})
+        edges = neighbor_graph(radii, quats, "q8", k=k)
+        smooth_space = _graph_space(
+            profile.rescale(eps), radii, quats, edges, "q8",
+            {"kind": "collapse-smooth", "eps": eps, "seed": seed})
+        cone_space = _graph_space(
+            cone, radii, quats, edges, "q8",
+            {"kind": "collapse-cone", "eps": eps, "seed": seed})
         gh = gh_upper_bound(smooth_space, cone_space,
                             Correspondence.identity(n))
         rows.append(CollapseRow(eps=eps, gh_bound=gh,

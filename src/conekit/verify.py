@@ -63,18 +63,9 @@ def standard_regions(profile: ProfilePair, r_max: float = 3.0) -> tuple[Region, 
                  for lab, a, b in zip(labels, cuts[:-1], cuts[1:]))
 
 
-def grid_minima(profile: ProfilePair, radii: np.ndarray,
-                n_chunks: int = 1) -> dict[str, float]:
-    """Per-entry Ricci minima over the radii, merged chunk by chunk.
-
-    Minima are order-independent, so the chunked evaluation can be farmed
-    out to workers and merged deterministically.
-    """
-    radii = np.asarray(radii, dtype=float)
-    mins = np.full(4, np.inf)
-    for chunk in np.array_split(radii, max(n_chunks, 1)):
-        if chunk.size:
-            mins = np.minimum(mins, ricci_curve(profile, chunk).min(axis=1))
+def grid_minima(profile: ProfilePair, radii: np.ndarray) -> dict[str, float]:
+    """Per-entry Ricci minima over the radii (independent of their order)."""
+    mins = ricci_curve(profile, np.asarray(radii, dtype=float)).min(axis=1)
     return dict(zip(ENTRY_NAMES, mins))
 
 

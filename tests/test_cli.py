@@ -73,6 +73,14 @@ def test_verify_deterministic(built, tmp_path):
         assert a == b
 
 
+def test_verify_rejects_small_grid(built, tmp_path, capsys):
+    code = main(["verify", "--profile", str(built / "profile.json"),
+                 "--out", str(tmp_path), "--grid", "10"])
+    assert code == 2
+    assert "--grid must be at least 64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_bad_profile_path(tmp_path):
     code = main(["verify", "--profile", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

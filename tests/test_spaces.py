@@ -1,5 +1,7 @@
 """Metric-space sampling, GH bounds, and the collapse experiment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,14 @@ from conekit import profiles, spaces
 from conekit.quaternions import Q8, qmul, random_unit
 from conekit.spaces import (
     Correspondence,
-    QuotientPoint,
     collapse_experiment,
-    edge_length,
     from_distance_matrix,
     gh_upper_bound,
     quotient_dist_round,
     sample_annulus,
     sample_sphere,
     space_from_points,
+    weigh,
 )
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -26,6 +27,13 @@ DEEP = np.array([0.5, 0.5, 0.5, 0.5])
 def _unit_pair(seed):
     rng = np.random.default_rng(seed)
     return random_unit(rng, 2)
+
+
+def _one_edge(profile, r_a, q_a, r_b, q_b, group="q8"):
+    """Weight of the single edge between two sample points."""
+    w = weigh(profile, np.array([r_a, r_b]), np.stack([q_a, q_b]),
+              np.array([[0, 1]]), group)
+    return float(w[0])
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +59,6 @@ def test_quotient_dist_group_invariance():
         assert abs(quotient_dist_round(q1, qmul(g, q2)) - base) <= 1e-12
 
 
-def test_quotient_point_validation():
-    with pytest.raises(ValueError):
-        QuotientPoint(r=-1.0, q=(1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        QuotientPoint(r=1.0, q=(1, 1, 0, 0))
-    p1 = QuotientPoint(r=1.0, q=tuple(DEEP))
-    p2 = QuotientPoint(r=1.0, q=tuple(qmul(Q8[3], DEEP)))
-    assert p1 == p2  # canonical representative makes equality decidable
-
-
 # ---------------------------------------------------------------------------
 # edges and samples
 # ---------------------------------------------------------------------------
@@ -69,13 +67,13 @@ def test_radial_edge_is_exact():
     q = _unit_pair(2)[0]
     h = 0.37
     rng_profile = profiles.random_smooth_profile(np.random.default_rng(5))
-    assert edge_length(rng_profile, 1.0, q, 1.0 + h, q) == pytest.approx(h, abs=1e-12)
+    assert _one_edge(rng_profile, 1.0, q, 1.0 + h, q) == pytest.approx(h, abs=1e-12)
 
 
 def test_round_edge_matches_quotient_distance():
     # one direct edge on the unit round sphere is the exact quotient angle
     q1, q2 = _unit_pair(3)
-    length = edge_length(profiles.round_profile(), 1.0, q1, 1.0, q2)
+    length = _one_edge(profiles.round_profile(), 1.0, q1, 1.0, q2)
     assert length == pytest.approx(quotient_dist_round(q1, q2), abs=1e-12)
 
 
@@ -90,7 +88,7 @@ def test_edge_length_matches_metric_eval():
     q1, q2 = random_unit(rng, 2)
     a = qlog_vec(qmul(qconj(q1), q2))
     expect = np.sqrt(metric_eval(profile, 1.4, (0.0, *a)))
-    got = edge_length(profile, 1.4, q1, 1.4, q2, group="trivial")
+    got = _one_edge(profile, 1.4, q1, 1.4, q2, group="trivial")
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -119,7 +117,38 @@ def test_sampled_space_metric_axioms(lab_profile):
     report = space.metric_axioms_report()
     assert report["ok"], report
     assert report["symmetric"] and report["diag_zero"]
-    assert report["triangle_violation"] <= 1e-12
+    assert report["edge_violation"] <= 1e-12
+    # reference: the triangle inequality over all triples, pivot by pivot
+    d = space.dist
+    slack = max(float((d - (d[:, k][:, None] + d[k, :][None, :])).max())
+                for k in range(space.n))
+    assert slack <= 1e-12
+
+
+def test_edge_certificate_is_complete():
+    # a 1e-9 violation on one edge whose endpoints avoid an evenly spaced
+    # 128-point pivot subset: a check through sampled pivots misses it
+    space = sample_sphere(profiles.round_profile(), 1.0, 900, seed=3,
+                          group="trivial")
+    pivots = set(np.linspace(0, space.n - 1, 128).astype(int).tolist())
+    a, b = next((a, b) for (a, b), w in zip(space.edges.tolist(), space.weights)
+                if space.dist[a, b] == w and a not in pivots and b not in pivots)
+    dist = space.dist.copy()
+    dist[a, b] += 1e-9
+    dist[b, a] += 1e-9
+    report = replace(space, dist=dist).metric_axioms_report()
+    assert report["symmetric"] and report["diag_zero"]
+    assert report["edge_violation"] == pytest.approx(1e-9, rel=1e-6)
+    assert not report["ok"]
+
+
+def test_edge_certificate_on_explicit_matrix():
+    bad = from_distance_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+    report = bad.metric_axioms_report()
+    assert report["edge_violation"] == 1.0
+    assert not report["ok"]
+    good = from_distance_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert good.metric_axioms_report()["ok"]
 
 
 def test_sample_determinism(lab_profile):
@@ -133,8 +162,9 @@ def test_graph_distance_matches_round_quotient():
     # lengths, so the sampled distance converges from above
     q1, q2 = _unit_pair(42)
     closed = quotient_dist_round(q1, q2)
-    space = sample_sphere(profiles.round_profile(), 1.0, 2000, seed=5,
-                          group="q8", include_quats=[q1, q2], k=128)
+    quats = np.concatenate([[q1, q2], random_unit(np.random.default_rng(5), 1998)])
+    space = space_from_points(profiles.round_profile(), np.ones(2000), quats,
+                              group="q8", k=128)
     graph = space.dist[0, 1]
     assert graph >= closed - 1e-12
     assert abs(graph - closed) <= 0.03 * closed
@@ -181,29 +211,6 @@ def test_sample_distances_invariant_under_orbit_relabeling(lab_profile):
     assert np.abs(moved.dist - base.dist).max() <= 1e-12
 
 
-def test_points_materialize_as_quotient_points(lab_profile):
-    space = sample_annulus(lab_profile, 1.0, 2.0, 60, seed=6)
-    pts = space.points
-    assert len(pts) == 60
-    assert all(isinstance(p, QuotientPoint) for p in pts)
-    # stored quaternions are already canonical, so rebuilding is stable
-    assert pts[0].q == tuple(space.quats[0])
-    trivial = sample_sphere(profiles.round_profile(), 1.0, 60, seed=6,
-                            group="trivial")
-    assert all(isinstance(p, tuple) for p in trivial.points)
-
-
-def test_space_csv_and_binary_roundtrip(tmp_path, lab_profile):
-    space = sample_annulus(lab_profile, 1.0, 3.0, 60, seed=3)
-    space.save_npz(str(tmp_path / "space.npz"))
-    loaded = spaces.SampledSpace.load_npz(str(tmp_path / "space.npz"))
-    assert np.allclose(loaded.dist, space.dist)
-    space.to_csv(str(tmp_path / "pts.csv"), str(tmp_path / "dist.csv"))
-    assert (tmp_path / "pts.csv").read_text().startswith("index,r,")
-    n_pairs = 60 * 59 // 2
-    assert len((tmp_path / "dist.csv").read_text().splitlines()) == n_pairs + 1
-
-
 # ---------------------------------------------------------------------------
 # GH bounds
 # ---------------------------------------------------------------------------
@@ -237,14 +244,6 @@ def test_gh_requires_covering():
         gh_upper_bound(two, one, Correspondence(pairs=np.array([[0, 0]])))
 
 
-def test_coordinate_matching_covers(lab_profile):
-    a = sample_annulus(lab_profile, 1.0, 3.0, 70, seed=4)
-    b = space_from_points(profiles.cone_profile(0.05), a.radii, a.quats)
-    corr = Correspondence.coordinate_matching(a, b)
-    assert corr.covers(a.n, b.n)
-    assert gh_upper_bound(a, b, corr) >= 0.0
-
-
 # ---------------------------------------------------------------------------
 # collapse
 # ---------------------------------------------------------------------------
@@ -272,3 +271,16 @@ def test_collapse_small(lab_profile):
     assert result.gh_violations() <= 1
     assert gh[-1] < gh[0]
     assert result.diameter_ratio() <= 1.25
+
+
+def test_collapse_shares_one_graph_per_eps(lab_profile):
+    # rows equal two independently built spaces on the same draws
+    result = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
+    cone = profiles.cone_profile(lab_profile.neck_slope)
+    for idx, row in enumerate(result.rows):
+        rng = np.random.default_rng([3, idx])
+        radii, quats = spaces._draw_points(rng, 120, row.eps, 8.0, "q8")
+        smooth = space_from_points(lab_profile.rescale(row.eps), radii, quats)
+        exact = space_from_points(cone, radii, quats)
+        gh = gh_upper_bound(smooth, exact, Correspondence.identity(120))
+        assert (row.gh_bound, row.diameter) == (gh, smooth.diameter())
