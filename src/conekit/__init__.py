@@ -24,12 +24,9 @@ from .bump import (
     smoothness_check,
 )
 from .frame import (
-    CurvatureForms,
-    FrameConnection,
     FrameDomainError,
     OracleStepError,
     RicciDiag,
-    connection_forms,
     curvature_from_forms,
     metric_eval,
     ricci_curve,

@@ -117,7 +117,6 @@ class BumpSpec:
     floor_window: tuple[float, float]
     tail_window: tuple[float, float]
     amplitude: float
-    params: dict | None = None
 
     def __call__(self, x):
         return self.eta(x)
@@ -213,9 +212,6 @@ def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), support=(0.0, 0.25),
         ceiling=ceiling, mass=amplitude * unit_mass, floor=floor,
         floor_window=(1.0 / 16.0, 3.0 / 16.0),
         tail_window=tail_window, amplitude=amplitude,
-        params={"plateau": list(plateau), "support": list(support),
-                "ceiling": ceiling, "mass": mass, "floor": floor,
-                "tail_window": list(tail_window)},
     )
     _certify_eta(spec, mass, n_check)
     return spec
@@ -260,7 +256,7 @@ def idealized_step_bump(amplitude=32.0, window=(1.0 / 16.0, 3.0 / 16.0)) -> Bump
         eta=eta, eta_prime=zero, support=(0.0, 0.25),
         segments=(0.0, a, b, 0.25), ceiling=64.0,
         mass=amplitude * (b - a), floor=16.0, floor_window=window,
-        tail_window=(0.125, 0.25), amplitude=amplitude, params=None,
+        tail_window=(0.125, 0.25), amplitude=amplitude,
     )
 
 
@@ -281,10 +277,8 @@ class QuadratureTable:
 
     bump: BumpSpec
     grid: np.ndarray
-    values: np.ndarray
     first_antiderivative: np.ndarray
     second_antiderivative: np.ndarray
-    rule: str
     tol: float
     order: int
 
@@ -346,9 +340,8 @@ def build_table(bump: BumpSpec, cells_per_segment=24, order=24) -> QuadratureTab
     e_lo, p_lo = cumulative(max(order // 2, 6))
     tol = max(np.max(np.abs(e_hi - e_lo)), np.max(np.abs(p_hi - p_lo)))
     return QuadratureTable(
-        bump=bump, grid=grid, values=np.asarray(bump.eta(grid), dtype=float),
+        bump=bump, grid=grid,
         first_antiderivative=e_hi, second_antiderivative=p_hi,
-        rule=f"gauss-legendre-{order} on {cells_per_segment} cells/segment",
         tol=tol, order=order,
     )
 
@@ -373,14 +366,13 @@ def compute_r1(eta: BumpSpec) -> float:
     return r1
 
 
-def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable | None = None,
+def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable,
              n_check=513) -> RadialFunction:
     """The fiber profile ``phi(r) = 4r - int_0^r int_0^{t-r1} eta``.
 
     Certified claims: slope 4 on [0, r1], slope 0 from 1/4 + r1 on,
     value 1 at 1/4 + r1, phi <= 1 everywhere, phi > 0 for r > 0.
     """
-    table = table or build_table(eta)
     sup_hi = eta.support[1]
 
     fns = [
@@ -410,8 +402,7 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable | None = None,
 
 
 def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
-             table: QuadratureTable | None = None,
-             n_check=513) -> tuple[RadialFunction, float]:
+             table: QuadratureTable, n_check=513) -> tuple[RadialFunction, float]:
     """The orbit-scale profile rho and its normalizer delta.
 
     ``rho(r) = 1 + delta * int_0^r int_0^t eta(2s - 1/8 - 2 r1) ds dt`` with
@@ -421,7 +412,6 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     """
     if neck_slope <= 0:
         raise ValueError("neck_slope must be positive")
-    table = table or build_table(eta)
     shift = 0.125 + 2.0 * r1
     # int_0^inf eta(2s - shift) ds = mass / 2, the tail slope per unit delta
     slope_integral = 0.5 * table.mass
@@ -548,13 +538,18 @@ def save_profile(profile: ProfilePair, path: str, n_samples: int = 33) -> None:
 
 
 def load_profile(path: str) -> ProfilePair:
-    """Rebuild a profile from its JSON document and verify the stored samples."""
+    """Rebuild a profile from its JSON document and verify the stored samples.
+
+    Raises ``ValueError`` for a document of unrecognized format or version
+    and :class:`ConstructionError` when the stored samples or constants
+    disagree with the rebuilt profile.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
-        raise ConstructionError(f"unrecognized profile document in {path}")
+        raise ValueError(f"unrecognized profile document in {path}")
     params = dict(doc["construction"])
     params["plateau"] = tuple(params["plateau"])
     profile = build_profile(**params)

@@ -6,8 +6,12 @@ Outputs are plain CSV/JSON data files; rerunning a command with the same
 arguments reproduces them byte for byte except for the timestamp comment
 at the head of each CSV.
 
-Exit codes: 0 success, 1 verification/certification failure,
-2 usage or I/O error.
+Exit codes: 0 success; 1 when a verification fails or a construction
+claim fails (an infeasible build, or a profile.json whose stored samples
+or constants disagree with its rebuild); 2 for usage, input and I/O
+errors (bad arguments, a missing file or directory, a profile document of
+unrecognized format or version).  :func:`main` is the one place that maps
+errors to these codes.
 """
 
 from __future__ import annotations
@@ -97,12 +101,8 @@ def _require_out(cfg: RunConfig) -> None:
 
 def cmd_build_profile(cfg: RunConfig) -> int:
     _require_out(cfg)
-    try:
-        profile = bump.build_profile(cfg.neck_slope or bump.REFERENCE_NECK_SLOPE,
-                                     mass=cfg.mass, ceiling=cfg.ceiling)
-    except bump.ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    profile = bump.build_profile(cfg.neck_slope or bump.REFERENCE_NECK_SLOPE,
+                                 mass=cfg.mass, ceiling=cfg.ceiling)
     bump.save_profile(profile, os.path.join(cfg.out, "profile.json"))
     report = bump.smoothness_check(profile)
     _write_reports([report], cfg, "smoothness")
@@ -254,6 +254,9 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.subcommand](cfg)
+    except bump.ConstructionError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

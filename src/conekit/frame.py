@@ -6,16 +6,14 @@ The metric is ``g = dr^2 + rho^2 (phi^2 s1^2 + s2^2 + s3^2)`` where
 
     e0 = d/dr,  e1 = X1/(rho*phi),  e2 = X2/rho,  e3 = X3/rho.
 
-Two independent routes to the diagonal Ricci tensor are provided:
-
-* :func:`ricci_diag` evaluates the closed-form expressions in the radial
-  derivatives of rho and phi.
-* :func:`curvature_from_forms` rebuilds the Levi-Civita connection from
-  the frame bracket relations (Koszul formula), differentiates the
-  connection coefficients by central finite differences in r, assembles
-  the curvature 2-forms, and contracts.  It never touches second
-  derivatives of the profile analytically, so it serves as a numeric
-  oracle for the closed forms.
+The module holds the closed-form Ricci diagonal (:func:`ricci_diag`,
+:func:`ricci_curve`), the Koszul connection, the finite-difference
+Riemann-tensor oracle (:func:`curvature_from_forms`) and
+:func:`metric_eval`.  The oracle derives the Levi-Civita connection from
+the frame brackets (Koszul formula), differentiates it by central finite
+differences in r, assembles the Riemann tensor from ``O = d w + w ^ w``
+and contracts.  It never touches second derivatives of the profile
+analytically, so it serves as a numeric oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ from .profiles import ProfilePair
 
 __all__ = [
     "RicciDiag",
-    "FrameConnection",
-    "CurvatureForms",
     "FrameDomainError",
     "OracleStepError",
     "ricci_diag",
     "ricci_curve",
-    "connection_forms",
     "curvature_from_forms",
     "metric_eval",
 ]
@@ -48,11 +43,6 @@ class OracleStepError(RuntimeError):
     """Raised when the finite-difference step fails its self-consistency check."""
 
 
-# index pairs (i<j) labelling both the six 2-forms and the six basis 2-forms
-FORM_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_INDEX = {p: n for n, p in enumerate(FORM_PAIRS)}
-
-
 @dataclass(frozen=True)
 class RicciDiag:
     """Diagonal Ricci entries in the orthonormal frame e0..e3 (units 1/length^2)."""
@@ -64,119 +54,6 @@ class RicciDiag:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r00, self.r11, self.r22, self.r33])
-
-
-@dataclass(frozen=True)
-class FrameConnection:
-    """Coefficients of the connection 1-forms in the coframe basis.
-
-    ``w_0^1 = c01 w^1``, ``w_0^2 = c02 w^2``, ``w_0^3 = c03 w^3``,
-    ``w_1^2 = c12 w^3``, ``w_1^3 = c13 w^2``, ``w_2^3 = c23 w^1``.
-
-    Two candidate signs exist for the middle term of ``c23``; the tabulated
-    closed form carries ``2/(rho*phi) + phi/rho`` and is stored as ``c23``.
-    Only the opposite sign satisfies the torsion-free structure equation
-    ``dw^i = w^j ^ w_j^i``, so that variant is recorded alongside as
-    ``c23_torsion_free``; the curvature pipeline rederives its own
-    coefficients from the frame brackets and agrees with the latter.
-    """
-
-    c01: float
-    c02: float
-    c03: float
-    c12: float
-    c13: float
-    c23: float
-    c23_torsion_free: float
-
-
-class CurvatureForms:
-    """Curvature 2-forms ``O_i^j`` expanded in the basis ``w^a ^ w^b`` (a<b).
-
-    ``table[m, n]`` holds the coefficient of basis form ``FORM_PAIRS[n]``
-    in ``O_i^j`` for ``(i, j) = FORM_PAIRS[m]``.  Antisymmetry in both the
-    form index and the basis index is handled by :meth:`coefficient`.
-    """
-
-    def __init__(self, table: np.ndarray):
-        table = np.asarray(table, dtype=float)
-        if table.shape != (6, 6):
-            raise ValueError("expected a 6x6 coefficient table")
-        self.table = table
-
-    def coefficient(self, i: int, j: int, a: int, b: int) -> float:
-        """Coefficient of ``w^a ^ w^b`` in ``O_i^j`` (any index order)."""
-        if i == j or a == b:
-            return 0.0
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -sign
-        if a > b:
-            a, b, sign = b, a, -sign
-        return sign * self.table[_PAIR_INDEX[(i, j)], _PAIR_INDEX[(a, b)]]
-
-    def evaluate(self, i: int, j: int, x: np.ndarray, y: np.ndarray) -> float:
-        """Evaluate ``O_i^j(X, Y)`` on frame-component vectors X, Y."""
-        total = 0.0
-        for (a, b), n in _PAIR_INDEX.items():
-            coeff = self.coefficient(i, j, a, b)
-            total += coeff * (x[a] * y[b] - x[b] * y[a])
-        return total
-
-    def ricci(self) -> RicciDiag:
-        """Contract to the Ricci diagonal: ``Ric(e_l, e_l) = sum_k O_k^l(e_l, e_k)``.
-
-        The contraction order (equivalently, the overall sign) is pinned by
-        the fixtures: the flat cone must give zero and the round cylinder
-        must give (0, 2, 2, 2).
-        """
-        diag = []
-        for l in range(4):
-            total = 0.0
-            for k in range(4):
-                if k != l:
-                    total += self.coefficient(k, l, l, k)
-            diag.append(total)
-        return RicciDiag(*diag)
-
-    def first_bianchi_residual(self) -> float:
-        """Max coefficient of the 3-forms ``sum_j O_j^i ^ w^j`` (zero for Levi-Civita)."""
-        worst = 0.0
-        triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        for i in range(4):
-            acc = {t: 0.0 for t in triples}
-            for j in range(4):
-                if j == i:
-                    continue
-                for a, b in FORM_PAIRS:
-                    if j in (a, b):
-                        continue
-                    coeff = self.coefficient(j, i, a, b)
-                    perm = (a, b, j)
-                    key = tuple(sorted(perm))
-                    acc[key] += coeff * _perm_sign(perm)
-            worst = max(worst, max(abs(v) for v in acc.values()))
-        return worst
-
-
-def _perm_sign(perm) -> int:
-    a, b, c = perm
-    sign = 1
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return sign
-
-
-def _profile_values(profile: ProfilePair, r, orders=(0, 1, 2)):
-    vals = {}
-    for k in orders:
-        vals[("rho", k)] = profile.rho(r, k)
-        vals[("phi", k)] = profile.phi(r, k)
-    return vals
 
 
 def _check_positive(name: str, value, r) -> None:
@@ -222,26 +99,6 @@ def ricci_diag(profile: ProfilePair, r: float) -> RicciDiag:
     return RicciDiag(*vals)
 
 
-def connection_forms(profile: ProfilePair, r: float) -> FrameConnection:
-    """Connection 1-form coefficients at radius r (see :class:`FrameConnection`)."""
-    rho = profile.rho(r)
-    phi = profile.phi(r)
-    _check_positive("rho", rho, r)
-    _check_positive("phi", phi, r)
-    rho1 = profile.rho(r, 1)
-    phi1 = profile.phi(r, 1)
-    b = rho1 / rho
-    return FrameConnection(
-        c01=b + phi1 / phi,
-        c02=b,
-        c03=b,
-        c12=phi / rho,
-        c13=-phi / rho,
-        c23=2.0 / (rho * phi) + phi / rho,
-        c23_torsion_free=2.0 / (rho * phi) - phi / rho,
-    )
-
-
 def metric_eval(profile: ProfilePair, r: float, v) -> float:
     """Squared length of tangent components (a0, a1, a2, a3) in the X-frame.
 
@@ -258,7 +115,7 @@ def metric_eval(profile: ProfilePair, r: float, v) -> float:
 
 
 # ---------------------------------------------------------------------------
-# forms oracle
+# Riemann-tensor oracle
 # ---------------------------------------------------------------------------
 
 _EPS3 = np.zeros((4, 4, 4))
@@ -297,32 +154,45 @@ def _koszul(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0)))
 
 
-def _forms_tables(profile: ProfilePair, r: float, h: float):
-    gamma = _koszul(_bracket_table(profile, r))
-    gamma_plus = _koszul(_bracket_table(profile, r + h))
-    gamma_minus = _koszul(_bracket_table(profile, r - h))
-    dgamma = (gamma_plus - gamma_minus) / (2.0 * h)
-    c = _bracket_table(profile, r)
+def _riemann(profile: ProfilePair, r: float, h: float) -> np.ndarray:
+    """R[p, q, j, k] = O_j^k(e_p, e_q), the curvature 2-forms on frame pairs.
 
-    table = np.zeros((6, 6))
-    for m, (j, k) in enumerate(FORM_PAIRS):
-        for n, (p, q) in enumerate(FORM_PAIRS):
-            # d(omega_j^k)(e_p, e_q); coefficients vary only in r (= e_0 direction)
-            d = 0.0
-            if p == 0:
-                d += dgamma[q, j, k]
-            if q == 0:
-                d -= dgamma[p, j, k]
-            d -= np.dot(c[p, q], gamma[:, j, k])
-            # quadratic term (omega_j^l ^ omega_l^k)(e_p, e_q)
-            quad = np.dot(gamma[p, j], gamma[q, :, k]) - np.dot(gamma[q, j], gamma[p, :, k])
-            table[m, n] = d - quad
-    return CurvatureForms(table)
+    ``w_j^k(e_p) = gamma[p, j, k]`` and ``dw(e_p, e_q) = e_p w(e_q) - e_q w(e_p)
+    - w([e_p, e_q])``, where only e_0 = d/dr moves the coefficients (step h).
+    """
+    c = _bracket_table(profile, r)
+    gamma = _koszul(c)
+    dgamma = (_koszul(_bracket_table(profile, r + h))
+              - _koszul(_bracket_table(profile, r - h))) / (2.0 * h)
+    d = -np.einsum("pql,ljk->pqjk", c, gamma)
+    d[0] += dgamma
+    d[:, 0] -= dgamma
+    # (w_j^l ^ w_l^k)(e_p, e_q)
+    quad = np.einsum("pjl,qlk->pqjk", gamma, gamma)
+    return d - (quad - quad.transpose(1, 0, 2, 3))
+
+
+def _ricci(R: np.ndarray) -> RicciDiag:
+    """Ricci diagonal ``Ric(e_l, e_l) = sum_{k != l} O_k^l(e_l, e_k)``.
+
+    Each term is read as ``-R[a, b, a, b]`` with ``(a, b) = sorted((k, l))``
+    and summed from 0.0 in ascending k; this order fixes the last bit.  The
+    sign is pinned by the fixtures (flat cone zero, round cylinder 0, 2, 2, 2).
+    """
+    diag = []
+    for l in range(4):
+        total = 0.0
+        for k in range(4):
+            if k != l:
+                a, b = sorted((k, l))
+                total -= R[a, b, a, b]
+        diag.append(total)
+    return RicciDiag(*diag)
 
 
 def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
                          check_step: bool = True, step_tol: float = 1e-6):
-    """Numeric curvature forms and Ricci diagonal at radius r.
+    """Numeric Riemann tensor and Ricci diagonal at radius r.
 
     Parameters
     ----------
@@ -340,19 +210,21 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
 
     Returns
     -------
-    (CurvatureForms, RicciDiag)
+    (R, RicciDiag)
+        ``R`` is the (4, 4, 4, 4) array ``R[p, q, j, k] = O_j^k(e_p, e_q)``;
+        the full Ricci tensor is ``np.einsum("mkkl->lm", R)``.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     if r - h <= 0:
         raise FrameDomainError(f"need r - h > 0, got r={r}, h={h}")
-    forms = _forms_tables(profile, r, h)
-    ric = forms.ricci()
+    R = _riemann(profile, r, h)
+    ric = _ricci(R)
     if check_step:
-        ric_half = _forms_tables(profile, r, h / 2).ricci()
+        ric_half = _ricci(_riemann(profile, r, h / 2))
         drift = np.max(np.abs(ric.as_array() - ric_half.as_array()))
         if drift > step_tol:
             raise OracleStepError(
                 f"step h={h} too coarse at r={r}: Ricci moved by {drift:.3e} "
                 f"between h and h/2 (tolerance {step_tol:.1e})")
-    return forms, ric
+    return R, ric

@@ -54,9 +54,9 @@ def test_oracle_equivalence():
 def test_flat_fixture():
     profile = flat_profile()
     closed = ricci_diag(profile, 2.0).as_array()
-    forms, oracle = curvature_from_forms(profile, 2.0, h=1e-5)
+    R, oracle = curvature_from_forms(profile, 2.0, h=1e-5)
     worst = max(np.abs(closed).max(), np.abs(oracle.as_array()).max(),
-                np.abs(forms.table).max())
+                np.abs(R).max())
     ok = worst < 1e-9
     _report("flat fixture", ok, f"largest entry {worst:.2e}")
     assert ok

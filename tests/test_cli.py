@@ -87,6 +87,35 @@ def test_verify_bad_profile_path(tmp_path):
     assert code == 2
 
 
+def _edited_profile(built, tmp_path, edit):
+    doc = json.loads((built / "profile.json").read_text())
+    edit(doc)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    os.mkdir(out)
+    return path, out
+
+
+def test_verify_tampered_profile_is_a_construction_failure(built, tmp_path, capsys):
+    def edit(doc):
+        doc["rho"][10] += 0.01
+
+    path, out = _edited_profile(built, tmp_path, edit)
+    code = main(["verify", "--profile", str(path), "--out", str(out)])
+    assert code == 1
+    assert "construction failed: stored rho samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_verify_unknown_profile_version_is_an_input_error(built, tmp_path, capsys):
+    path, out = _edited_profile(built, tmp_path, lambda doc: doc.update(version=7))
+    code = main(["verify", "--profile", str(path), "--out", str(out)])
+    assert code == 2
+    assert "unrecognized profile document" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_verify_json_format(built, tmp_path):
     code = main(["verify", "--profile", str(built / "profile.json"),
                  "--out", str(tmp_path), "--grid", "256", "--format", "json"])

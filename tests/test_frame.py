@@ -7,11 +7,11 @@ from conekit import (
     FrameDomainError,
     OracleStepError,
     berger_profile,
-    connection_forms,
     curvature_from_forms,
     flat_profile,
     metric_eval,
     random_smooth_profile,
+    ricci_curve,
     ricci_diag,
     round_profile,
 )
@@ -59,46 +59,98 @@ def test_ricci_domain_error_names_factor():
         ricci_diag(p, 0.0)
 
 
-def test_connection_forms_round():
-    fc = connection_forms(round_profile(), 1.0)
-    assert fc.c23 == pytest.approx(3.0, abs=1e-14)          # 2/(rho phi) + phi/rho
-    assert fc.c23_torsion_free == pytest.approx(1.0, abs=1e-14)
-    assert fc.c02 == 0.0 and fc.c03 == 0.0                  # rho' = 0
-    assert fc.c12 == -fc.c13 == 1.0
+def test_symbolic_ricci_by_cartan():
+    # Independent of the Koszul route: solve Cartan's first structure
+    # equation dth^a = -w^a_b ^ th^b for the 24 connection coefficients,
+    # form O^a_b = dw^a_b + w^a_c ^ w^c_b and contract Ric_bd = O^a_b(e_a, e_d).
+    # A 2-form is an antisymmetric 4x4 matrix F, meaning sum_{a<b} F[a,b] th^a ^ th^b.
+    import sympy as sp
 
+    r = sp.Symbol("r", positive=True)
+    rho, phi = sp.Function("rho")(r), sp.Function("phi")(r)
+    scale = [sp.Integer(1), rho * phi, rho, rho]  # th^a = scale[a] s^a, s^0 = dr
+    zero2 = sp.zeros(4, 4)
 
-def test_connection_forms_flat():
-    fc = connection_forms(flat_profile(), 5.0)
-    assert fc.c01 == fc.c02 == fc.c03 == pytest.approx(0.2, abs=1e-15)
+    def basis(a):
+        return [sp.Integer(int(a == b)) for b in range(4)]
 
+    def wedge(x, y):
+        return sp.Matrix(4, 4, lambda a, b: x[a] * y[b] - x[b] * y[a])
 
-def test_connection_invariants_random():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
+    # ds^a = -2 s^b ^ s^c for (a, b, c) cyclic in (1, 2, 3)
+    dtheta = {0: zero2}
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        dtheta[a] = (sp.diff(scale[a], r) / scale[a] * wedge(basis(0), basis(a))
+                     - 2 * scale[a] / (scale[b] * scale[c]) * wedge(basis(b), basis(c)))
+
+    def d(form):
+        # coefficients depend on r only, and dr = th^0
+        return sum((sp.diff(f, r) * wedge(basis(0), basis(c)) + f * dtheta[c]
+                    for c, f in enumerate(form)), zero2)
+
+    omega = [[[sp.Integer(0)] * 4 for _ in range(4)] for _ in range(4)]
+    unknowns = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            w = list(sp.symbols(f"w{a}{b}_0:4"))
+            unknowns += w
+            omega[a][b] = w
+            omega[b][a] = [-x for x in w]
+    torsion = [dtheta[a] + sum((wedge(omega[a][b], basis(b)) for b in range(4)), zero2)
+               for a in range(4)]
+    equations = [t[i, j] for t in torsion for i in range(4) for j in range(i + 1, 4)]
+    (solution,) = sp.solve(equations, unknowns, dict=True)
+    omega = [[[sp.sympify(x).subs(solution) for x in w] for w in row] for row in omega]
+    curv = [[d(omega[a][b]) + sum((wedge(omega[a][c], omega[c][b]) for c in range(4)), zero2)
+             for b in range(4)] for a in range(4)]
+    ric = sp.Matrix(4, 4, lambda b, e: sum(curv[a][b][a, e] for a in range(4)))
+
+    P, P1, P2, F, F1, F2 = sp.symbols("rho rho1 rho2 phi phi1 phi2", positive=True)
+    ric = (ric.subs({sp.diff(rho, r, 2): P2, sp.diff(phi, r, 2): F2})
+              .subs({sp.diff(rho, r): P1, sp.diff(phi, r): F1})
+              .subs({rho: P, phi: F}))
+    # ricci_curve's closed forms
+    mixed = P1 * F1 / (P * F)
+    r00 = -(3 * P2 / P + F2 / F + 2 * mixed)
+    r11 = -(P2 / P + F2 / F + 4 * mixed - 2 * F**2 / P**2 + 2 * P1**2 / P**2)
+    r22 = -P2 / P - mixed + 4 / P**2 - 2 * F**2 / P**2 - 2 * P1**2 / P**2
+    closed = (r00, r11, r22, r22)
+    for i in range(4):
+        assert sp.simplify(ric[i, i] - closed[i]) == 0
+    off = [sp.simplify(ric[i, j]) for i in range(4) for j in range(4) if i != j]
+    assert off == [0] * 12
+
+    evaluate = sp.lambdify((P, P1, P2, F, F1, F2), closed, "numpy")
+    rng = np.random.default_rng(9)
+    for _ in range(5):
         p = random_smooth_profile(rng)
-        fc = connection_forms(p, rng.uniform(0.3, 3.0))
-        assert fc.c02 == fc.c03
-        assert fc.c12 == -fc.c13
+        radii = rng.uniform(0.3, 3.0, 7)
+        values = [p.rho(radii, k) for k in range(3)] + [p.phi(radii, k) for k in range(3)]
+        assert np.allclose(np.array(evaluate(*values)), ricci_curve(p, radii),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_koszul_selects_torsion_free_c23():
-    # Of the two candidate signs for the middle term of c23, only the
-    # torsion-free one appears in the bracket-derived connection; that is
-    # the coefficient the curvature pipeline runs on, and the pipeline in
-    # turn reproduces the closed-form Ricci (test_oracle_agreement).
+    # The bracket-derived connection in closed form.  Its c23 = gamma[1,2,3]
+    # carries the torsion-free sign 2/(rho phi) - phi/rho; the opposite
+    # sign of the middle term fails dw^i = w^j ^ w_j^i.
+    round_gamma = _koszul(_bracket_table(round_profile(), 1.0))
+    assert round_gamma[1, 2, 3] == pytest.approx(1.0, abs=1e-14)
+    assert round_gamma[3, 1, 2] == pytest.approx(1.0, abs=1e-14)
+    flat_gamma = _koszul(_bracket_table(flat_profile(), 5.0))
+    assert flat_gamma[1, 0, 1] == pytest.approx(0.2, abs=1e-15)
+    assert flat_gamma[2, 0, 2] == pytest.approx(0.2, abs=1e-15)
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        p = random_smooth_profile(rng)
-        r = rng.uniform(0.4, 2.5)
+    cases = [(round_profile(), 1.0), (flat_profile(), 5.0)]
+    cases += [(random_smooth_profile(rng), rng.uniform(0.4, 2.5)) for _ in range(25)]
+    for p, r in cases:
+        rho, rho1 = p.rho(r), p.rho(r, 1)
+        phi, phi1 = p.phi(r), p.phi(r, 1)
         gamma = _koszul(_bracket_table(p, r))
-        fc = connection_forms(p, r)
-        assert gamma[1, 2, 3] == pytest.approx(fc.c23_torsion_free, rel=1e-13)
-        assert abs(gamma[1, 2, 3] - fc.c23) > 0.1  # displayed sign disagrees
-        # and the full bracket-derived table matches the tabulated forms
-        assert gamma[1, 0, 1] == pytest.approx(fc.c01, rel=1e-13)
-        assert gamma[2, 0, 2] == pytest.approx(fc.c02, rel=1e-13)
-        assert gamma[3, 1, 2] == pytest.approx(fc.c12, rel=1e-13)
-        assert gamma[2, 1, 3] == pytest.approx(fc.c13, rel=1e-13)
+        assert gamma[1, 0, 1] == pytest.approx(rho1 / rho + phi1 / phi, rel=1e-13)
+        assert gamma[2, 0, 2] == gamma[3, 0, 3] == pytest.approx(rho1 / rho, rel=1e-13)
+        assert gamma[3, 1, 2] == -gamma[2, 1, 3] == pytest.approx(phi / rho, rel=1e-13)
+        assert gamma[1, 2, 3] == pytest.approx(2 / (rho * phi) - phi / rho, rel=1e-13)
 
 
 def _closed_form_table(p, r):
@@ -127,12 +179,15 @@ def _closed_form_table(p, r):
 
 def test_curvature_forms_coefficients():
     rng = np.random.default_rng(3)
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     for _ in range(20):
         p = random_smooth_profile(rng)
         r = rng.uniform(0.4, 2.5)
-        forms, _ = curvature_from_forms(p, r, h=1e-5)
+        R, _ = curvature_from_forms(p, r, h=1e-5)
+        # row (j, k) holds the coefficients of O_j^k on the basis w^a ^ w^b
+        table = np.array([[R[a, b, j, k] for a, b in pairs] for j, k in pairs])
         expect = _closed_form_table(p, r)
-        assert np.abs(forms.table - expect).max() < 1e-8
+        assert np.abs(table - expect).max() < 1e-8
 
 
 def test_curvature_forms_antisymmetry_and_bianchi():
@@ -140,38 +195,31 @@ def test_curvature_forms_antisymmetry_and_bianchi():
     for _ in range(10):
         p = random_smooth_profile(rng)
         r = rng.uniform(0.4, 2.5)
-        forms, _ = curvature_from_forms(p, r, h=1e-5)
-        for (i, j) in ((0, 1), (1, 3), (2, 3)):
-            for (a, b) in ((0, 2), (1, 2), (0, 3)):
-                assert forms.coefficient(i, j, a, b) == -forms.coefficient(j, i, a, b)
-                assert forms.coefficient(i, j, a, b) == -forms.coefficient(i, j, b, a)
-        assert forms.first_bianchi_residual() < 1e-8
-        # first Bianchi evaluated on random frame arguments via trilinearity
-        x, y = rng.standard_normal((2, 4))
-        for i in range(4):
-            total = np.zeros(4)
-            for jj in range(4):
-                w_j = np.zeros(4)
-                w_j[jj] = 1.0
-                # (O_j^i ^ w^j)(x, y, e_m) summed over j, for each m
-                for m in range(4):
-                    z = np.zeros(4)
-                    z[m] = 1.0
-                    total[m] += (forms.evaluate(jj, i, x, y) * z[jj]
-                                 - forms.evaluate(jj, i, x, z) * y[jj]
-                                 + forms.evaluate(jj, i, y, z) * x[jj])
-            assert np.abs(total).max() < 1e-6 * max(1.0, np.abs(forms.table).max())
+        R, _ = curvature_from_forms(p, r, h=1e-5)
+        # 2-forms in (p, q) by construction; so(4)-valued in (j, k) and the
+        # first Bianchi identity only up to the finite-difference error
+        assert np.array_equal(R, -R.transpose(1, 0, 2, 3))
+        assert np.abs(R + R.transpose(0, 1, 3, 2)).max() < 1e-8
+        cyclic = R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
+        assert np.abs(cyclic).max() < 1e-8
 
 
 def test_oracle_flat_case():
-    forms, ric = curvature_from_forms(flat_profile(), 2.0, h=1e-4)
+    R, ric = curvature_from_forms(flat_profile(), 2.0, h=1e-4)
     assert np.abs(ric.as_array()).max() < 1e-8
-    assert np.abs(forms.table).max() < 1e-8
+    assert np.abs(R).max() < 1e-8
 
 
 def test_oracle_round_case():
     _, ric = curvature_from_forms(round_profile(), 1.0, h=1e-4)
     assert ric.as_array() == pytest.approx([0, 2, 2, 2], abs=1e-6)
+
+
+def _assert_ricci_diagonal(R):
+    # the full contraction Ric[l, m] = sum_k O_k^l(e_m, e_k); the certificate
+    # reads only its diagonal, so the off-diagonal entries must vanish
+    ric = np.einsum("mkkl->lm", R)
+    assert np.abs(ric - np.diag(np.diag(ric))).max() < 1e-9
 
 
 def test_oracle_agreement_sweep():
@@ -180,8 +228,9 @@ def test_oracle_agreement_sweep():
         p = random_smooth_profile(rng)
         r = rng.uniform(0.3, 3.0)
         closed = ricci_diag(p, r).as_array()
-        _, orac = curvature_from_forms(p, r, h=1e-5, check_step=False)
+        R, orac = curvature_from_forms(p, r, h=1e-5, check_step=False)
         assert np.allclose(orac.as_array(), closed, rtol=1e-6, atol=1e-9)
+        _assert_ricci_diagonal(R)
 
 
 def test_oracle_on_constructed_profile(reference_profile):
@@ -197,9 +246,10 @@ def test_oracle_on_constructed_profile(reference_profile):
     ):
         for r in radii:
             closed = ricci_diag(reference_profile, float(r)).as_array()
-            _, orac = curvature_from_forms(reference_profile, float(r), h=1e-6,
+            R, orac = curvature_from_forms(reference_profile, float(r), h=1e-6,
                                            check_step=False)
             assert np.allclose(orac.as_array(), closed, rtol=1e-6, atol=atol)
+            _assert_ricci_diagonal(R)
 
 
 def test_oracle_step_too_large_is_reported():
