@@ -130,16 +130,39 @@ def test_symbolic_ricci_by_cartan():
                            rtol=1e-12, atol=1e-12)
 
 
+# Connection coefficients c_ab of the Koszul connection, read off gamma:
+# c01 = gamma[1,0,1], c02 = gamma[2,0,2], c03 = gamma[3,0,3],
+# c12 = gamma[3,1,2], c13 = gamma[2,1,3], c23 = gamma[1,2,3].
+
+def test_connection_forms_round():
+    gamma = _koszul(_bracket_table(round_profile(), 1.0))
+    assert gamma[1, 2, 3] == pytest.approx(1.0, abs=1e-14)   # 2/(rho phi) - phi/rho
+    assert gamma[1, 0, 1] == 0.0                             # rho' = phi' = 0
+    assert gamma[2, 0, 2] == 0.0 and gamma[3, 0, 3] == 0.0   # rho' = 0
+    assert gamma[3, 1, 2] == pytest.approx(1.0, abs=1e-14)
+    assert gamma[2, 1, 3] == -gamma[3, 1, 2]
+
+
+def test_connection_forms_flat():
+    gamma = _koszul(_bracket_table(flat_profile(), 5.0))
+    assert gamma[1, 0, 1] == pytest.approx(0.2, abs=1e-15)
+    assert gamma[2, 0, 2] == pytest.approx(0.2, abs=1e-15)
+    assert gamma[3, 0, 3] == pytest.approx(0.2, abs=1e-15)
+
+
+def test_connection_invariants_random():
+    rng = np.random.default_rng(1)
+    for _ in range(25):
+        p = random_smooth_profile(rng)
+        gamma = _koszul(_bracket_table(p, rng.uniform(0.3, 3.0)))
+        assert gamma[2, 0, 2] == gamma[3, 0, 3]
+        assert gamma[3, 1, 2] == -gamma[2, 1, 3]
+
+
 def test_koszul_selects_torsion_free_c23():
     # The bracket-derived connection in closed form.  Its c23 = gamma[1,2,3]
     # carries the torsion-free sign 2/(rho phi) - phi/rho; the opposite
     # sign of the middle term fails dw^i = w^j ^ w_j^i.
-    round_gamma = _koszul(_bracket_table(round_profile(), 1.0))
-    assert round_gamma[1, 2, 3] == pytest.approx(1.0, abs=1e-14)
-    assert round_gamma[3, 1, 2] == pytest.approx(1.0, abs=1e-14)
-    flat_gamma = _koszul(_bracket_table(flat_profile(), 5.0))
-    assert flat_gamma[1, 0, 1] == pytest.approx(0.2, abs=1e-15)
-    assert flat_gamma[2, 0, 2] == pytest.approx(0.2, abs=1e-15)
     rng = np.random.default_rng(2)
     cases = [(round_profile(), 1.0), (flat_profile(), 5.0)]
     cases += [(random_smooth_profile(rng), rng.uniform(0.4, 2.5)) for _ in range(25)]
