@@ -19,6 +19,7 @@ time; a failed claim raises :class:`ConstructionError` naming the claim.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -537,28 +538,61 @@ def save_profile(profile: ProfilePair, path: str, n_samples: int = 33) -> None:
         fh.write("\n")
 
 
+_DOC_KEYS = ("r1", "delta", "construction", "grid", "rho", "phi")
+# build_profile's keyword defaults give the shape and kind of each construction value
+_CONSTRUCTION = {name: np.asarray(p.default)
+                 for name, p in inspect.signature(build_profile).parameters.items()}
+
+
+def _numeric(key: str, value, shape=(), kinds: str = "iuf") -> np.ndarray:
+    """``value`` as an array; ``ValueError`` naming ``key`` unless its numbers fit ``shape``.
+
+    ``shape`` None accepts any one-dimensional list; ``kinds`` are numpy dtype kinds.
+    """
+    arr = np.asarray(value)  # a ragged list raises ValueError here
+    if (arr.dtype.kind not in kinds
+            or (arr.ndim != 1 if shape is None else arr.shape != shape)):
+        raise ValueError(f"profile key {key!r} is not numeric of the right shape: {value!r}")
+    return arr
+
+
 def load_profile(path: str) -> ProfilePair:
     """Rebuild a profile from its JSON document and verify the stored samples.
 
-    Raises ``ValueError`` for a document of unrecognized format or version
-    and :class:`ConstructionError` when the stored samples or constants
-    disagree with the rebuilt profile.
+    Raises ``ValueError`` for a document of unrecognized format or version,
+    with a missing key, a construction key :func:`build_profile` does not
+    record, or a non-numeric value, and :class:`ConstructionError` when the
+    stored samples or constants disagree with the rebuilt profile.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
+    if (not isinstance(doc, dict) or doc.get("format") != _FORMAT
+            or doc.get("version") != _VERSION):
         raise ValueError(f"unrecognized profile document in {path}")
-    params = dict(doc["construction"])
-    params["plateau"] = tuple(params["plateau"])
+    missing = [key for key in _DOC_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"profile document {path} lacks key(s) {', '.join(missing)}")
+    params = doc["construction"]
+    if not isinstance(params, dict):
+        raise ValueError(f"profile key 'construction' is not an object: {params!r}")
+    wrong = sorted(params.keys() ^ _CONSTRUCTION.keys())
+    if wrong:
+        raise ValueError(f"profile construction keys {wrong} differ from "
+                         f"{sorted(_CONSTRUCTION)}")
+    for key, default in _CONSTRUCTION.items():
+        _numeric(f"construction.{key}", params[key], default.shape,
+                 "iu" if default.dtype.kind == "i" else "iuf")
+    r1, delta = (float(_numeric(key, doc[key])) for key in ("r1", "delta"))
+    params = dict(params, plateau=tuple(params["plateau"]))
     profile = build_profile(**params)
-    rs = np.asarray(doc["grid"], dtype=float)
+    rs = _numeric("grid", doc["grid"], None).astype(float)
     for key, fn in (("rho", profile.rho), ("phi", profile.phi)):
-        stored = np.asarray(doc[key], dtype=float)
+        stored = _numeric(key, doc[key], rs.shape).astype(float)
         if np.max(np.abs(fn(rs) - stored)) > 1e-9:
             raise ConstructionError(
                 f"stored {key} samples disagree with the rebuilt profile")
-    if abs(profile.r1 - doc["r1"]) > 1e-12 or abs(profile.delta - doc["delta"]) > 1e-12 * abs(doc["delta"]):
+    if abs(profile.r1 - r1) > 1e-12 or abs(profile.delta - delta) > 1e-12 * abs(delta):
         raise ConstructionError("stored constants disagree with the rebuilt profile")
     return profile

@@ -6,21 +6,27 @@ Outputs are plain CSV/JSON data files; rerunning a command with the same
 arguments reproduces them byte for byte except for the timestamp comment
 at the head of each CSV.
 
+The parser is the one declaration of every flag, its type and its
+default; each subcommand takes only the flags it reads and rejects any
+other.  :func:`_check_args` makes the input checks that neither argparse
+nor the library makes.
+
 Exit codes: 0 success; 1 when a verification fails or a construction
 claim fails (an infeasible build, or a profile.json whose stored samples
 or constants disagree with its rebuild); 2 for usage, input and I/O
-errors (bad arguments, a missing file or directory, a profile document of
-unrecognized format or version).  :func:`main` is the one place that maps
-errors to these codes.
+errors (bad or unknown arguments, a missing file or directory, a profile
+document of unrecognized format or version, or with missing, extra or
+non-numeric keys).  :func:`main` is the one place that maps errors to
+these codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -30,102 +36,54 @@ from . import bump, spaces, verify
 from .obstruction import GROUPS, TopologicalData, betti_constraints, hitchin_check
 from .reports import VerificationReport
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    out: str | None = None
-    fmt: str = "csv"
-    profile: str | None = None
-    grid: int = 1024
-    tol: float = 1e-9
-    eps: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125)
-    seed: int = 0
-    rmax: float = 3.0
-    neck_slope: float | None = None
-    n: int = 800
-    negative_control: bool = False
-    mass: float = 4.0
-    ceiling: float = 64.0
-    chi: int = 1
-    tau: int = 0
-    b3: int | None = None
-    group: str = "both"
-
-    def __post_init__(self):
-        if self.fmt not in {"csv", "json"}:
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.grid < 64:
-            raise ValueError("--grid must be at least 64")
-        for name in ("tol", "rmax", "n", "mass", "ceiling"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.neck_slope is not None and self.neck_slope <= 0:
-            raise ValueError("--neck-slope must be positive")
-        if any(e <= 0 for e in self.eps):
-            raise ValueError("--eps values must be positive")
+__all__ = ["main"]
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_reports(reports: list[VerificationReport], cfg: RunConfig,
+def _write_reports(reports: list[VerificationReport], args: argparse.Namespace,
                    stem: str) -> None:
-    path = os.path.join(cfg.out, f"{stem}.{cfg.fmt}")
-    if cfg.fmt == "json":
-        with open(path, "w") as fh:
+    path = os.path.join(args.out, f"{stem}.{args.format}")
+    with open(path, "w", newline="") as fh:
+        if args.format == "json":
             json.dump([r.to_dict() for r in reports], fh, indent=2)
             fh.write("\n")
-    else:
-        with open(path, "w") as fh:
+        else:
             fh.write(f"# generated {_timestamp()}\n")
-            fh.write("report,check,value,bound,kind,tol,passed\n")
-            for rep in reports:
-                for c in rep.checks:
-                    fh.write(f"{rep.label},{c.name},{float(c.value)!r},"
-                             f"{float(c.bound)!r},{c.kind},{float(c.tol)!r},"
-                             f"{int(c.passed)}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["report", "check", "value", "bound", "kind",
+                             "tol", "passed"])
+            writer.writerows([rep.label, c.name, repr(float(c.value)),
+                              repr(float(c.bound)), c.kind, repr(float(c.tol)),
+                              int(c.passed)]
+                             for rep in reports for c in rep.checks)
 
 
-def _require_out(cfg: RunConfig) -> None:
-    if not cfg.out:
-        raise OSError("an output directory is required (--out)")
-    if not os.path.isdir(cfg.out):
-        raise OSError(f"output directory does not exist: {cfg.out}")
-
-
-def cmd_build_profile(cfg: RunConfig) -> int:
-    _require_out(cfg)
-    profile = bump.build_profile(cfg.neck_slope or bump.REFERENCE_NECK_SLOPE,
-                                 mass=cfg.mass, ceiling=cfg.ceiling)
-    bump.save_profile(profile, os.path.join(cfg.out, "profile.json"))
+def cmd_build_profile(args: argparse.Namespace) -> int:
+    profile = bump.build_profile(args.neck_slope, mass=args.mass,
+                                 ceiling=args.ceiling)
+    bump.save_profile(profile, os.path.join(args.out, "profile.json"))
     report = bump.smoothness_check(profile)
-    _write_reports([report], cfg, "smoothness")
+    _write_reports([report], args, "smoothness")
     print(report.describe())
-    print(f"profile written to {os.path.join(cfg.out, 'profile.json')}")
+    print(f"profile written to {os.path.join(args.out, 'profile.json')}")
     return 0 if report.passed else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _require_out(cfg)
-    if not cfg.profile:
-        raise OSError("verify needs --profile pointing at a profile.json")
-    profile = bump.load_profile(cfg.profile)
-    if cfg.negative_control:
+def cmd_verify(args: argparse.Namespace) -> int:
+    profile = bump.load_profile(args.profile)
+    if args.negative_control:
         profile = verify.negative_control(profile)
-    reports = [verify.verify_region(profile, region, n_grid=cfg.grid,
-                                    tol=cfg.tol)
-               for region in verify.standard_regions(profile, cfg.rmax)]
-    reports.append(verify.verify_nonneg(profile, r_max=cfg.rmax,
-                                        n_grid=cfg.grid, tol=cfg.tol))
-    _write_reports(reports, cfg, "verification")
-    radii = np.linspace(verify.R_FLOOR, cfg.rmax, cfg.grid)
-    verify.write_curve_csv(os.path.join(cfg.out, "ricci_curve.csv"), profile,
+    reports = [verify.verify_region(profile, region, n_grid=args.grid,
+                                    tol=args.tol)
+               for region in verify.standard_regions(profile, args.rmax)]
+    reports.append(verify.verify_nonneg(profile, r_max=args.rmax,
+                                        n_grid=args.grid, tol=args.tol))
+    _write_reports(reports, args, "verification")
+    radii = np.linspace(verify.R_FLOOR, args.rmax, args.grid)
+    verify.write_curve_csv(os.path.join(args.out, "ricci_curve.csv"), profile,
                            radii, comment=f"generated {_timestamp()}")
     ok = True
     for rep in reports:
@@ -138,22 +96,21 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_collapse(cfg: RunConfig) -> int:
-    _require_out(cfg)
-    if cfg.profile:
-        profile = bump.load_profile(cfg.profile)
+def cmd_collapse(args: argparse.Namespace) -> int:
+    if args.profile:
+        profile = bump.load_profile(args.profile)
     else:
-        profile = bump.build_profile(cfg.neck_slope or 0.05)
-    result = spaces.collapse_experiment(profile, cfg.eps, n=cfg.n,
-                                        seed=cfg.seed, r_outer=cfg.rmax)
-    path = os.path.join(cfg.out, "collapse.csv")
+        profile = bump.build_profile(args.neck_slope)
+    result = spaces.collapse_experiment(profile, args.eps, n=args.n,
+                                        seed=args.seed, r_outer=args.rmax)
+    path = os.path.join(args.out, "collapse.csv")
     with open(path, "w") as fh:
         fh.write(f"# generated {_timestamp()}, seed {result.seed}\n")
         fh.write("eps,gh_bound,diameter\n")
         for row in result.rows:
             fh.write(f"{row.eps!r},{row.gh_bound!r},{row.diameter!r}\n")
-    if cfg.fmt == "json":
-        with open(os.path.join(cfg.out, "collapse.json"), "w") as fh:
+    if args.format == "json":
+        with open(os.path.join(args.out, "collapse.json"), "w") as fh:
             json.dump({"seed": result.seed, "n": result.n,
                        "rows": [vars(r) for r in result.rows]}, fh, indent=2)
             fh.write("\n")
@@ -165,12 +122,12 @@ def cmd_collapse(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_obstruction(cfg: RunConfig) -> int:
-    if cfg.b3 is not None:
-        data = betti_constraints((1, 0, 0, cfg.b3, 0))
+def cmd_obstruction(args: argparse.Namespace) -> int:
+    if args.b3 is not None:
+        data = betti_constraints((1, 0, 0, args.b3, 0))
     else:
-        data = TopologicalData(chi=Fraction(cfg.chi), tau=Fraction(cfg.tau))
-    names = list(GROUPS) if cfg.group == "both" else [cfg.group]
+        data = TopologicalData(chi=Fraction(args.chi), tau=Fraction(args.tau))
+    names = list(GROUPS) if args.group == "both" else [args.group]
     for name in names:
         group = GROUPS[name]
         verdict = hitchin_check(data, group)
@@ -184,35 +141,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="conekit",
         description="Construct, certify and collapse the warped cone metrics.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", required=True, help="output directory")
+    output.add_argument("--format", default="csv", choices=["csv", "json"])
 
-    def common(p):
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", dest="fmt", default="csv",
-                       choices=["csv", "json"])
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--grid", type=int, default=1024)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rmax", type=float, default=3.0)
-        p.add_argument("--neck-slope", dest="neck_slope", type=float)
-
-    p = sub.add_parser("build-profile", help="construct and certify a profile")
-    common(p)
+    p = sub.add_parser("build-profile", parents=[output],
+                       help="construct and certify a profile")
+    p.add_argument("--neck-slope", type=float, default=bump.REFERENCE_NECK_SLOPE)
     p.add_argument("--mass", type=float, default=4.0)
     p.add_argument("--ceiling", type=float, default=64.0)
+    p.set_defaults(command=cmd_build_profile)
 
-    p = sub.add_parser("verify", help="run the curvature verification")
-    common(p)
-    p.add_argument("--profile", help="path to a profile.json")
+    p = sub.add_parser("verify", parents=[output],
+                       help="run the curvature verification")
+    p.add_argument("--profile", required=True, help="path to a profile.json")
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--rmax", type=float, default=3.0)
     p.add_argument("--negative-control", action="store_true",
                    help="double the fiber profile before verifying")
+    p.set_defaults(command=cmd_verify)
 
-    p = sub.add_parser("collapse", help="run the collapse experiment")
-    common(p)
-    p.add_argument("--profile", help="path to a profile.json")
+    p = sub.add_parser("collapse", parents=[output],
+                       help="run the collapse experiment")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--profile", help="path to a profile.json")
+    source.add_argument("--neck-slope", type=float, default=0.05)
     p.add_argument("--eps", default="1,0.5,0.25,0.125",
                    help="comma-separated decreasing scale factors")
     p.add_argument("--n", type=int, default=800)
-    p.set_defaults(rmax=8.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rmax", type=float, default=8.0)
+    p.set_defaults(command=cmd_collapse)
 
     p = sub.add_parser("obstruction", help="exact-rational obstruction report")
     p.add_argument("--chi", type=int, default=1)
@@ -220,40 +180,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b3", type=int)
     p.add_argument("--group", default="both",
                    choices=["both", *GROUPS.keys()])
+    p.set_defaults(command=cmd_obstruction)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("out", "fmt", "profile", "grid", "tol", "seed", "rmax",
-                 "neck_slope", "n", "negative_control", "mass", "ceiling",
-                 "chi", "tau", "b3", "group"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
+def _check_args(args: argparse.Namespace) -> None:
+    """The input checks argparse and the library leave to the CLI.
+
+    Raises ``ValueError``/``OSError`` before any artifact is written;
+    parses ``--eps`` into a tuple (its values are checked by the library).
+    """
+    if getattr(args, "grid", 64) < 64:
+        raise ValueError("--grid must be at least 64")
+    for name in ("tol", "rmax", "neck_slope", "mass", "ceiling"):
+        if not 0 < getattr(args, name, 1.0) < float("inf"):  # NaN fails too
+            raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
     if hasattr(args, "eps"):
         try:
-            eps = tuple(float(x) for x in str(args.eps).split(",") if x.strip())
+            args.eps = tuple(float(x) for x in args.eps.split(",") if x.strip())
         except ValueError as exc:
             raise ValueError(f"bad --eps list: {exc}") from None
-        if not eps:
-            raise ValueError("--eps list is empty")
-        fields["eps"] = eps
-    return RunConfig(subcommand=args.subcommand, **fields)
-
-
-_COMMANDS = {
-    "build-profile": cmd_build_profile,
-    "verify": cmd_verify,
-    "collapse": cmd_collapse,
-    "obstruction": cmd_obstruction,
-}
+    if hasattr(args, "out") and not os.path.isdir(args.out):
+        raise OSError(f"output directory does not exist: {args.out}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.subcommand](cfg)
+        _check_args(args)
+        return args.command(args)
     except bump.ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1

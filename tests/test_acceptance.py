@@ -36,7 +36,7 @@ def test_oracle_equivalence():
     # 1e-6 relative / 1e-9 absolute, under 10 seconds
     rng = np.random.default_rng(20240901)
     t0 = time.time()
-    worst = 0.0
+    worst = -np.inf
     for _ in range(1000):
         profile = random_smooth_profile(rng)
         r = rng.uniform(0.3, 3.0)

@@ -1,7 +1,11 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,32 @@ def test_build_profile_infeasible_mass(tmp_path, capsys):
 def test_build_profile_missing_out_dir(tmp_path):
     code = main(["build-profile", "--out", str(tmp_path / "absent")])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--neck-slope", "--mass"])
+def test_build_profile_rejects_nonpositive(tmp_path, capsys, flag, value):
+    code = main(["build-profile", "--out", str(tmp_path), flag, value])
+    assert code == 2
+    assert f"{flag} must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-profile", "--tol", "1e-9"],
+    ["build-profile", "--grid", "1024"],
+    ["build-profile", "--seed", "3"],
+    ["build-profile", "--rmax", "3"],
+    ["verify", "--profile", "profile.json", "--seed", "3"],
+    ["verify", "--profile", "profile.json", "--neck-slope", "0.5"],
+    ["collapse", "--tol", "1e-9"],
+    ["collapse", "--grid", "1024"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_default_passes(built, tmp_path, capsys):
@@ -87,6 +117,19 @@ def test_verify_bad_profile_path(tmp_path):
     assert code == 2
 
 
+def test_verification_csv_parses(built, tmp_path):
+    assert main(["verify", "--profile", str(built / "profile.json"),
+                 "--out", str(tmp_path), "--grid", "64"]) == 0
+    with open(tmp_path / "verification.csv", newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    header, body = rows[0], rows[1:]
+    assert header == ["report", "check", "value", "bound", "kind", "tol", "passed"]
+    assert body and all(len(row) == len(header) for row in body)
+    labels = {row[0] for row in body}
+    assert "Part1 [1e-06, 0.1875]" in labels
+    assert "nonnegativity sweep [1e-06, 3]" in labels
+
+
 def _edited_profile(built, tmp_path, edit):
     doc = json.loads((built / "profile.json").read_text())
     edit(doc)
@@ -113,6 +156,20 @@ def test_verify_unknown_profile_version_is_an_input_error(built, tmp_path, capsy
     code = main(["verify", "--profile", str(path), "--out", str(out)])
     assert code == 2
     assert "unrecognized profile document" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc.pop("grid"), "grid"),
+    (lambda doc: doc["construction"].update(bogus=1.0), "bogus"),
+    (lambda doc: doc["construction"].update(order="24"), "order"),
+], ids=["missing-grid", "extra-construction-key", "string-order"])
+def test_verify_malformed_profile_is_an_input_error(built, tmp_path, capsys,
+                                                    edit, key):
+    path, out = _edited_profile(built, tmp_path, edit)
+    code = main(["verify", "--profile", str(path), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -146,6 +203,14 @@ def test_collapse_single_eps(tmp_path):
 def test_collapse_empty_eps(tmp_path):
     code = main(["collapse", "--out", str(tmp_path), "--eps", ","])
     assert code == 2
+
+
+def test_collapse_profile_excludes_neck_slope(built, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", "--out", str(tmp_path), "--profile",
+              str(built / "profile.json"), "--neck-slope", "0.1"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_collapse_deterministic(tmp_path):
@@ -182,3 +247,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_entry_point_exit_codes(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "conekit.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120).returncode
+
+    assert run("frobnicate") == 2
+    assert run("verify", "--profile", "profile.json", "--out", ".",
+               "--grid", "10") == 2
+    assert run("build-profile", "--out", ".", "--mass", "20") == 1
