@@ -22,7 +22,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,13 +41,18 @@ __all__ = [
     "make_phi",
     "make_rho",
     "build_profile",
-    "default_profile",
     "smoothness_check",
     "save_profile",
     "load_profile",
 ]
 
 REFERENCE_NECK_SLOPE = math.exp(-100.0)
+_SUPPORT = (0.0, 0.25)
+_TAIL_WINDOW = (0.125, 0.25)
+# grid sizes of the certification sweeps: the bump over its support, the
+# profiles over each claimed interval
+_ETA_CHECKS = 4001
+_PROFILE_CHECKS = 513
 
 
 class ConstructionError(ValueError):
@@ -160,19 +164,18 @@ def _segment_quad(f, segments, order=24, subdiv=8):
     return total
 
 
-def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), support=(0.0, 0.25),
-             ceiling=64.0, mass=4.0, floor=16.0,
-             tail_window=(0.125, 0.25), n_check=4001) -> BumpSpec:
+def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), ceiling=64.0, mass=4.0,
+             floor=16.0) -> BumpSpec:
     """Build and certify the C-infinity plateau bump.
 
-    The bump rises from 0 over [support[0], plateau[0]] by a smooth step,
-    holds a constant amplitude on the plateau, and falls back to 0 over
-    [plateau[1], support[1]].  The amplitude is set so the total mass hits
+    The bump rises from 0 over [0, plateau[0]] by a smooth step, holds a
+    constant amplitude on the plateau, and falls back to 0 over
+    [plateau[1], 1/4].  The amplitude is set so the total mass hits
     the requested value; infeasible combinations (amplitude above the
     ceiling or below the floor) raise :class:`ConstructionError` reporting
     the achievable mass.
     """
-    lo, hi = support
+    lo, hi = _SUPPORT
     p0, p1 = plateau
     if not (lo < p0 < p1 < hi):
         raise ValueError("plateau must sit strictly inside the support")
@@ -209,18 +212,18 @@ def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), support=(0.0, 0.25),
     eta_prime = lambda x: amplitude * unit_prime(x)
 
     spec = BumpSpec(
-        eta=eta, eta_prime=eta_prime, support=support, segments=segments,
+        eta=eta, eta_prime=eta_prime, support=_SUPPORT, segments=segments,
         ceiling=ceiling, mass=amplitude * unit_mass, floor=floor,
         floor_window=(1.0 / 16.0, 3.0 / 16.0),
-        tail_window=tail_window, amplitude=amplitude,
+        tail_window=_TAIL_WINDOW, amplitude=amplitude,
     )
-    _certify_eta(spec, mass, n_check)
+    _certify_eta(spec, mass)
     return spec
 
 
-def _certify_eta(spec: BumpSpec, requested_mass: float, n_check: int) -> None:
+def _certify_eta(spec: BumpSpec, requested_mass: float) -> None:
     lo, hi = spec.support
-    xs = np.linspace(lo, hi, n_check)
+    xs = np.linspace(lo, hi, _ETA_CHECKS)
     vals = spec.eta(xs)
     if np.any(vals < -1e-12) or np.any(vals > spec.ceiling + 1e-12):
         raise ConstructionError("range claim failed: eta outside [0, ceiling]")
@@ -254,10 +257,10 @@ def idealized_step_bump(amplitude=32.0, window=(1.0 / 16.0, 3.0 / 16.0)) -> Bump
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return BumpSpec(
-        eta=eta, eta_prime=zero, support=(0.0, 0.25),
-        segments=(0.0, a, b, 0.25), ceiling=64.0,
+        eta=eta, eta_prime=zero, support=_SUPPORT,
+        segments=(_SUPPORT[0], a, b, _SUPPORT[1]), ceiling=64.0,
         mass=amplitude * (b - a), floor=16.0, floor_window=window,
-        tail_window=(0.125, 0.25), amplitude=amplitude,
+        tail_window=_TAIL_WINDOW, amplitude=amplitude,
     )
 
 
@@ -367,8 +370,7 @@ def compute_r1(eta: BumpSpec) -> float:
     return r1
 
 
-def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable,
-             n_check=513) -> RadialFunction:
+def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable) -> RadialFunction:
     """The fiber profile ``phi(r) = 4r - int_0^r int_0^{t-r1} eta``.
 
     Certified claims: slope 4 on [0, r1], slope 0 from 1/4 + r1 on,
@@ -384,16 +386,16 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable,
     ]
     phi = RadialFunction(fns, "phi")
 
-    head = np.linspace(0.0, r1, n_check)
+    head = np.linspace(0.0, r1, _PROFILE_CHECKS)
     if np.max(np.abs(phi(head, 1) - 4.0)) > 1e-12:
         raise ConstructionError("claim failed: phi' = 4 on [0, r1]")
-    tail = np.linspace(sup_hi + r1, sup_hi + r1 + 4.0, n_check)
+    tail = np.linspace(sup_hi + r1, sup_hi + r1 + 4.0, _PROFILE_CHECKS)
     if np.max(np.abs(phi(tail, 1))) > 1e-10:
         raise ConstructionError("claim failed: phi' = 0 beyond 1/4 + r1")
     if abs(phi(sup_hi + r1) - 1.0) > 1e-10:
         raise ConstructionError(
             f"claim failed: phi(1/4 + r1) = {phi(sup_hi + r1)!r} != 1")
-    body = np.linspace(0.0, sup_hi + r1 + 4.0, 4 * n_check)
+    body = np.linspace(0.0, sup_hi + r1 + 4.0, 4 * _PROFILE_CHECKS)
     if np.max(phi(body)) > 1.0 + 1e-10:
         raise ConstructionError("claim failed: phi exceeds 1")
     interior = body[body > 0]
@@ -403,7 +405,7 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable,
 
 
 def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
-             table: QuadratureTable, n_check=513) -> tuple[RadialFunction, float]:
+             table: QuadratureTable) -> tuple[RadialFunction, float]:
     """The orbit-scale profile rho and its normalizer delta.
 
     ``rho(r) = 1 + delta * int_0^r int_0^t eta(2s - 1/8 - 2 r1) ds dt`` with
@@ -432,13 +434,13 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     if delta > 32.0 * neck_slope:
         raise ConstructionError(
             f"claim failed: delta = {delta!r} exceeds 32 * neck_slope")
-    head = np.linspace(0.0, r1 + 1.0 / 16.0, n_check)
+    head = np.linspace(0.0, r1 + 1.0 / 16.0, _PROFILE_CHECKS)
     if np.max(np.abs(rho(head) - 1.0)) > 1e-13:
         raise ConstructionError("claim failed: rho != 1 on [0, r1 + 1/16]")
-    tail = np.linspace(r1 + 3.0 / 16.0, r1 + 4.0, n_check)
+    tail = np.linspace(r1 + 3.0 / 16.0, r1 + 4.0, _PROFILE_CHECKS)
     if np.max(np.abs(rho(tail, 1) - neck_slope)) > 1e-12 * neck_slope:
         raise ConstructionError("claim failed: rho' != neck_slope on the tail")
-    body = np.linspace(0.0, r1 + 4.0, 4 * n_check)
+    body = np.linspace(0.0, r1 + 4.0, 4 * _PROFILE_CHECKS)
     if np.min(rho(body, 2)) < -1e-15:
         raise ConstructionError("claim failed: rho'' < 0 somewhere")
     return rho, delta
@@ -458,11 +460,6 @@ def build_profile(neck_slope: float = REFERENCE_NECK_SLOPE, *, plateau=(1.0 / 16
               "cells_per_segment": cells_per_segment, "order": order}
     return ProfilePair(rho=rho, phi=phi, r1=r1, delta=delta,
                        neck_slope=neck_slope, build_params=params)
-
-
-def default_profile() -> ProfilePair:
-    """The default construction at the reference neck slope exp(-100)."""
-    return build_profile(REFERENCE_NECK_SLOPE)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +561,6 @@ def load_profile(path: str) -> ProfilePair:
     record, or a non-numeric value, and :class:`ConstructionError` when the
     stored samples or constants disagree with the rebuilt profile.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path) as fh:
         doc = json.load(fh)
     if (not isinstance(doc, dict) or doc.get("format") != _FORMAT

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bump, spaces, verify
+from . import bump, verify
 from .obstruction import GROUPS, TopologicalData, betti_constraints, hitchin_check
 from .reports import VerificationReport
 
@@ -97,6 +97,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
+    from . import spaces  # only collapse needs scipy; the other commands skip its import
+
     if args.profile:
         profile = bump.load_profile(args.profile)
     else:

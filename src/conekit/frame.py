@@ -190,8 +190,12 @@ def _ricci(R: np.ndarray) -> RicciDiag:
     return RicciDiag(*diag)
 
 
+# largest move of the Ricci entries between steps h and h/2 the oracle accepts
+_STEP_TOL = 1e-6
+
+
 def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
-                         check_step: bool = True, step_tol: float = 1e-6):
+                         check_step: bool = True):
     """Numeric Riemann tensor and Ricci diagonal at radius r.
 
     Parameters
@@ -205,7 +209,7 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
         profile; quadrature-built profiles want h ~ 1e-5.
     check_step : bool
         When True, re-evaluates at h/2 and raises :class:`OracleStepError`
-        if the Ricci entries move by more than ``step_tol``; a too-coarse
+        if the Ricci entries move by more than 1e-6; a too-coarse
         step is reported, never silently accepted.
 
     Returns
@@ -223,8 +227,8 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
     if check_step:
         ric_half = _ricci(_riemann(profile, r, h / 2))
         drift = np.max(np.abs(ric.as_array() - ric_half.as_array()))
-        if drift > step_tol:
+        if drift > _STEP_TOL:
             raise OracleStepError(
                 f"step h={h} too coarse at r={r}: Ricci moved by {drift:.3e} "
-                f"between h and h/2 (tolerance {step_tol:.1e})")
+                f"between h and h/2 (tolerance {_STEP_TOL:.1e})")
     return R, ric

@@ -17,7 +17,6 @@ __all__ = [
     "TopologicalData",
     "HitchinVerdict",
     "GROUPS",
-    "eta_invariant",
     "hitchin_check",
     "betti_constraints",
 ]
@@ -43,14 +42,6 @@ GROUPS = {
     "BinaryIcosahedral": SpaceFormGroup("BinaryIcosahedral", 120,
                                         Fraction(361, 180)),
 }
-
-
-def eta_invariant(group_id: str) -> Fraction:
-    """Tabulated |eta| of the quotient sphere for the signature operator."""
-    try:
-        return GROUPS[group_id].eta_magnitude
-    except KeyError:
-        raise KeyError(f"no eta table entry for group {group_id!r}") from None
 
 
 @dataclass(frozen=True)

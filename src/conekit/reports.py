@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["BoundCheck", "VerificationReport"]
@@ -68,10 +67,6 @@ class VerificationReport:
         return {c.name: c.value for c in self.checks if c.kind == "min_ge"}
 
     @property
-    def bounds(self) -> dict[str, float]:
-        return {c.name: c.bound for c in self.checks}
-
-    @property
     def flags(self) -> dict[str, bool]:
         return {c.name: c.passed for c in self.checks}
 
@@ -94,9 +89,6 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def describe(self) -> str:
         status = "PASS" if self.passed else "FAIL"

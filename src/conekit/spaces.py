@@ -21,7 +21,6 @@ from .quaternions import BASIS, Q8, canonical_q8, qconj, qlog_vec, qmul, random_
 
 __all__ = [
     "SampledSpace",
-    "Correspondence",
     "quotient_dist_round",
     "neighbor_graph",
     "weigh",
@@ -167,27 +166,17 @@ def _default_k(n: int) -> int:
     return max(10, int(np.ceil(3.5 * n ** 0.25)))
 
 
-def neighbor_graph(radii, quats, group, k=None, radius=None) -> np.ndarray:
+def neighbor_graph(radii, quats, group, k=None) -> np.ndarray:
     """Stage 1: proximity edges, as sorted unique pairs ``i < j``.
 
-    Neighbors come from coordinate proximity: the k nearest per point
-    (grown until the graph connects), or everything within ``radius`` when
-    given -- radius graphs are edge-monotone under point insertion, which
-    the refinement tests rely on.
+    Neighbors come from coordinate proximity: the k nearest per point,
+    with k grown until the graph connects.
     """
     n = len(radii)
     if n < 2:
         raise ValueError("need at least two points")
     prox = _proximity(radii, quats, group)
     np.fill_diagonal(prox, np.inf)
-
-    if radius is not None:
-        ii, jj = np.nonzero(prox <= radius)
-        keep = ii < jj
-        edges = np.stack([ii[keep], jj[keep]], axis=1)
-        if edges.size == 0:
-            raise ValueError("radius graph has no edges; increase radius")
-        return edges
     k = k or _default_k(n)
     while True:
         kk = min(k, n - 1)
@@ -258,15 +247,15 @@ def _graph_space(profile, radii, quats, edges, group, provenance) -> SampledSpac
 
 
 def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
-                      k=None, radius=None, provenance=None) -> SampledSpace:
+                      k=None, provenance=None) -> SampledSpace:
     """Build the graph-geodesic metric space on an explicit point set.
 
-    The three stages in order: ``neighbor_graph`` (with ``k`` or
-    ``radius``), ``weigh`` under ``profile``, ``geodesics``.
+    The three stages in order: ``neighbor_graph`` (with ``k``), ``weigh``
+    under ``profile``, ``geodesics``.
     """
     radii = np.asarray(radii, dtype=float)
     quats = np.asarray(quats, dtype=float)
-    edges = neighbor_graph(radii, quats, group, k=k, radius=radius)
+    edges = neighbor_graph(radii, quats, group, k=k)
     return _graph_space(profile, radii, quats, edges, group, provenance)
 
 
@@ -281,7 +270,7 @@ def _draw_points(rng, n, r_in, r_out, group):
 
 
 def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
-                   seed: int, *, k=None, group="q8") -> SampledSpace:
+                   seed: int, *, group="q8") -> SampledSpace:
     """Quasi-uniform sample of the annulus r_in < r < r_out under the profile metric.
 
     Radii are stratified over the annulus, fibers drawn uniformly on the
@@ -295,13 +284,13 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
     rng = np.random.default_rng(seed)
     radii, quats = _draw_points(rng, n, r_in, r_out, group)
     return space_from_points(
-        profile, radii, quats, group=group, k=k,
+        profile, radii, quats, group=group,
         provenance={"kind": "annulus", "r_in": r_in, "r_out": r_out,
                     "n": n, "seed": seed, "group": group})
 
 
 def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
-                  k=None, group="q8") -> SampledSpace:
+                  group="q8") -> SampledSpace:
     """Fixed-radius sample: the orbit sphere at radius r with its induced metric."""
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -311,7 +300,7 @@ def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
     _, quats = _draw_points(rng, n, r, r, group)
     radii = np.full(n, float(r))
     return space_from_points(
-        profile, radii, quats, group=group, k=k,
+        profile, radii, quats, group=group,
         provenance={"kind": "sphere", "r": r, "n": n, "seed": seed,
                     "group": group})
 
@@ -332,39 +321,23 @@ def diameter(space: SampledSpace) -> float:
 # Gromov-Hausdorff upper bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Correspondence:
-    """A relation between two index sets covering both sides."""
+def gh_upper_bound(s1: SampledSpace, s2: SampledSpace) -> float:
+    """Half the largest ``|d1 - d2|`` of two metrics on one point set.
 
-    pairs: np.ndarray
-
-    @classmethod
-    def identity(cls, n: int) -> "Correspondence":
-        idx = np.arange(n)
-        return cls(pairs=np.stack([idx, idx], axis=1))
-
-    def covers(self, n1: int, n2: int) -> bool:
-        return (len(np.unique(self.pairs[:, 0])) == n1
-                and len(np.unique(self.pairs[:, 1])) == n2)
-
-
-def gh_upper_bound(s1: SampledSpace, s2: SampledSpace,
-                   corr: Correspondence) -> float:
-    """Half the distortion of the correspondence: a Gromov-Hausdorff upper bound.
-
-    Raises if the correspondence fails to cover both point sets (the bound
-    is only valid for covering relations).
+    Matching point i of ``s1`` with point i of ``s2`` is a correspondence
+    of distortion ``max |d1 - d2|``, and half the distortion of any
+    correspondence bounds the Gromov-Hausdorff distance from above
+    (Burago-Burago-Ivanov, *A Course in Metric Geometry*, 7.3).
     """
-    if not corr.covers(s1.n, s2.n):
-        raise ValueError("correspondence does not cover both spaces")
-    p = corr.pairs
+    if s1.n != s2.n:
+        raise ValueError(f"spaces of {s1.n} and {s2.n} points are not one point set")
     worst = 0.0
-    block = 2048
-    for lo in range(0, len(p), block):
-        hi = min(lo + block, len(p))
-        a = s1.dist[np.ix_(p[lo:hi, 0], p[:, 0])]
-        b = s2.dist[np.ix_(p[lo:hi, 1], p[:, 1])]
-        worst = max(worst, float(np.abs(a - b).max()))
+    # rows per pass: about 2 MB of differences
+    block = max(1, (1 << 18) // max(s1.n, 1))
+    for lo in range(0, s1.n, block):
+        gap = s1.dist[lo:lo + block] - s2.dist[lo:lo + block]
+        np.abs(gap, out=gap)
+        worst = max(worst, float(gap.max()))
     return 0.5 * worst
 
 
@@ -384,9 +357,6 @@ class CollapseResult:
     rows: tuple[CollapseRow, ...]
     seed: int
     n: int
-    r_inner: float
-    r_outer: float
-    neck_slope: float
 
     def gh_violations(self) -> int:
         """Number of increases along the gh_bound column."""
@@ -399,19 +369,19 @@ class CollapseResult:
 
 
 def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
-                        n: int = 800, seed: int = 0, *, r_inner: float = 1.0,
-                        r_outer: float = 8.0, k=None) -> CollapseResult:
+                        n: int = 800, seed: int = 0, *,
+                        r_outer: float = 8.0) -> CollapseResult:
     """Exhibit the collapse of the rescaled metrics onto the exact cone.
 
     For each scale eps the metric ``eps^2 g`` is realized by the rescaled
-    profile on the outer annulus [eps*r_inner, r_outer] (entirely inside
-    the exactly-conical tail for the default parameters) and sampled over
-    a point set shared with a sample of the exact cone over the round
-    quotient link at slope ``profile.neck_slope``.  The identity
-    correspondence on the shared points yields the GH upper bound; because
-    the two spaces also share one proximity graph, graph noise largely
-    cancels and the bound tracks the genuine metric discrepancy, which
-    shrinks linearly in eps.
+    profile on the outer annulus [eps, r_outer] (entirely inside the
+    exactly-conical tail for the default parameters) and sampled over a
+    point set shared with a sample of the exact cone over the round
+    quotient link at slope ``profile.neck_slope``; ``gh_upper_bound``
+    compares the two metrics on the shared points.  Because the two spaces
+    also share one proximity graph, graph noise largely cancels and the
+    bound tracks the genuine metric discrepancy, which shrinks linearly in
+    eps.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -429,17 +399,15 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     rows = []
     for idx, eps in enumerate(eps_arr):
         rng = np.random.default_rng([seed, idx])
-        radii, quats = _draw_points(rng, n, eps * r_inner, r_outer, "q8")
-        edges = neighbor_graph(radii, quats, "q8", k=k)
+        radii, quats = _draw_points(rng, n, eps, r_outer, "q8")
+        edges = neighbor_graph(radii, quats, "q8")
         smooth_space = _graph_space(
             profile.rescale(eps), radii, quats, edges, "q8",
             {"kind": "collapse-smooth", "eps": eps, "seed": seed})
         cone_space = _graph_space(
             cone, radii, quats, edges, "q8",
             {"kind": "collapse-cone", "eps": eps, "seed": seed})
-        gh = gh_upper_bound(smooth_space, cone_space,
-                            Correspondence.identity(n))
+        gh = gh_upper_bound(smooth_space, cone_space)
         rows.append(CollapseRow(eps=eps, gh_bound=gh,
                                 diameter=smooth_space.diameter()))
-    return CollapseResult(rows=tuple(rows), seed=seed, n=n, r_inner=r_inner,
-                          r_outer=r_outer, neck_slope=profile.neck_slope)
+    return CollapseResult(rows=tuple(rows), seed=seed, n=n)

@@ -6,7 +6,7 @@ from conekit import bump
 @pytest.fixture(scope="session")
 def reference_profile():
     """The default construction at the reference neck slope exp(-100)."""
-    return bump.default_profile()
+    return bump.build_profile()
 
 
 @pytest.fixture(scope="session")

@@ -10,18 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from conekit import (
-    bump,
-    curvature_from_forms,
-    flat_profile,
-    quotient_dist_round,
-    random_smooth_profile,
-    ricci_diag,
-    round_profile,
-)
+from conekit import bump
+from conekit.frame import curvature_from_forms, ricci_diag
 from conekit.obstruction import GROUPS, TopologicalData, hitchin_check
+from conekit.profiles import flat_profile, random_smooth_profile, round_profile
 from conekit.quaternions import Q8, qmul, random_unit
-from conekit.spaces import collapse_experiment, sample_annulus, sample_sphere
+from conekit.spaces import (
+    collapse_experiment,
+    quotient_dist_round,
+    sample_annulus,
+    sample_sphere,
+)
 from conekit.verify import standard_regions, verify_nonneg, verify_region
 
 
@@ -77,7 +76,7 @@ def test_round_fixture():
 def test_construction_constants():
     eta = bump.make_eta()
     r1 = bump.compute_r1(eta)
-    profile = bump.default_profile()
+    profile = bump.build_profile()
     c = bump.REFERENCE_NECK_SLOPE
     tail = np.linspace(r1 + 3 / 16, 3.0, 257)
     slope_err = np.max(np.abs(profile.rho(tail, 1) - c)) / c
@@ -95,7 +94,7 @@ def test_construction_constants():
 
 
 def test_nonnegativity_certification():
-    profile = bump.default_profile()
+    profile = bump.build_profile()
     t0 = time.time()
     sweep = verify_nonneg(profile, r_max=3.0, n_grid=4096, tol=1e-9)
     regions = standard_regions(profile, 3.0)
@@ -117,7 +116,7 @@ def test_nonnegativity_certification():
 
 def test_negative_control():
     from conekit.verify import negative_control
-    profile = negative_control(bump.default_profile())
+    profile = negative_control(bump.build_profile())
     report = verify_nonneg(profile, r_max=3.0, n_grid=1024)
     least = min(report.minima.values())
     ok = (not report.passed) and least < -0.1

@@ -174,7 +174,7 @@ def test_rho_head_and_tail(eta, table):
 
 
 def test_rho_reference_slope_delta():
-    profile = bump.default_profile()
+    profile = bump.build_profile()
     c = bump.REFERENCE_NECK_SLOPE
     assert profile.delta <= 32 * c
     assert np.isfinite(profile.delta) and profile.delta > 0

@@ -12,6 +12,14 @@ import pytest
 from conekit.cli import main
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _strip_timestamps(text):
     return "\n".join(line for line in text.splitlines()
                      if not line.startswith("#"))
@@ -111,10 +119,11 @@ def test_verify_rejects_small_grid(built, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_bad_profile_path(tmp_path):
+def test_verify_bad_profile_path(tmp_path, capsys):
     code = main(["verify", "--profile", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])
     assert code == 2
+    assert "No such file" in capsys.readouterr().err
 
 
 def test_verification_csv_parses(built, tmp_path):
@@ -250,9 +259,7 @@ def test_usage_error_exit_code():
 
 
 def test_entry_point_exit_codes(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "conekit.cli", *argv],
@@ -263,3 +270,23 @@ def test_entry_point_exit_codes(tmp_path):
     assert run("verify", "--profile", "profile.json", "--out", ".",
                "--grid", "10") == 2
     assert run("build-profile", "--out", ".", "--mass", "20") == 1
+
+
+def test_only_collapse_loads_scipy(tmp_path):
+    # a fresh interpreter: build-profile, verify and obstruction run without
+    # importing scipy, and collapse still imports it when it needs it
+    script = f"""
+import sys
+from conekit.cli import main
+out = {str(tmp_path)!r}
+assert main(["build-profile", "--out", out]) == 0
+assert main(["verify", "--profile", out + "/profile.json", "--out", out,
+             "--grid", "64"]) == 0
+assert main(["obstruction"]) == 0
+assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
+assert main(["collapse", "--out", out, "--n", "120", "--eps", "1,0.5"]) == 0
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -8,16 +8,14 @@ from conekit.obstruction import (
     GROUPS,
     TopologicalData,
     betti_constraints,
-    eta_invariant,
     hitchin_check,
 )
 
 
 def test_eta_table():
-    assert eta_invariant("Q8") == Fraction(3, 4)
-    assert eta_invariant("BinaryIcosahedral") == Fraction(361, 180)
-    with pytest.raises(KeyError):
-        eta_invariant("Lens44")
+    assert GROUPS["Q8"].eta_magnitude == Fraction(3, 4)
+    assert GROUPS["BinaryIcosahedral"].eta_magnitude == Fraction(361, 180)
+    assert "Lens44" not in GROUPS
 
 
 def test_group_table_consistency():
