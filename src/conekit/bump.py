@@ -411,10 +411,16 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     ``rho(r) = 1 + delta * int_0^r int_0^t eta(2s - 1/8 - 2 r1) ds dt`` with
     delta chosen so the tail slope is exactly ``neck_slope``.  The shifted
     bump is supported on [r1 + 1/16, r1 + 3/16], so rho == 1 before that
-    window, rho'' >= 0 everywhere and rho' == neck_slope after it.
+    window, rho'' >= 0 everywhere and rho' == neck_slope after it.  The
+    tail is the cone over (S^3/Q8, c^2 round) with c = ``neck_slope``, a
+    cone over a shrunk link only when c < 1.
     """
     if neck_slope <= 0:
         raise ValueError("neck_slope must be positive")
+    if neck_slope >= 1:
+        raise ConstructionError(
+            f"invalid neck slope {neck_slope!r}: the cone over (S^3/Q8, c^2 round) "
+            "needs c < 1")
     shift = 0.125 + 2.0 * r1
     # int_0^inf eta(2s - shift) ds = mass / 2, the tail slope per unit delta
     slope_integral = 0.5 * table.mass

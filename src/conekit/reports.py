@@ -66,10 +66,6 @@ class VerificationReport:
     def minima(self) -> dict[str, float]:
         return {c.name: c.value for c in self.checks if c.kind == "min_ge"}
 
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {c.name: c.passed for c in self.checks}
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,

@@ -6,10 +6,18 @@ gives them first-order Riemannian lengths, and ``geodesics`` completes the
 weighted graph to a metric by all-pairs shortest paths.  The
 quaternion-group quotient is realized by minimizing edge lengths over the
 8 lifts of each endpoint.
+
+The all-pairs shortest paths run on every CPU in the process's affinity
+mask, one forked worker per CPU after the first; ``taskset -c 0 ...``
+restricts them to one CPU, where nothing is forked.  The distances do not
+depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,14 +229,54 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
 
 
 def geodesics(n: int, edges, weights) -> np.ndarray:
-    """Stage 3: all-pairs Dijkstra distances over the weighted graph on n points."""
+    """Stage 3: all-pairs Dijkstra distances over the weighted graph on n points.
+
+    The source rows are split into one contiguous block per CPU of the
+    affinity mask.  Each block after the first is run in a forked child that
+    writes its rows into a shared anonymous map; the caller runs the first
+    block and then reaps every child, raising if any of them failed.  With
+    one CPU the same loop forks nothing.  Each row is a single-source
+    Dijkstra run, so the result does not depend on the split.
+    """
     graph = csr_matrix(
         (np.concatenate([weights, weights]),
          (np.concatenate([edges[:, 0], edges[:, 1]]),
           np.concatenate([edges[:, 1], edges[:, 0]]))),
         shape=(n, n))
-    dist = shortest_path(graph, method="D", directed=False)
-    dist = np.minimum(dist, dist.T)  # exact symmetry
+    shared = mmap.mmap(-1, 8 * n * n)
+    rows = np.frombuffer(shared, dtype=np.float64).reshape(n, n)
+    # one block per CPU of the affinity mask; platforms without a mask get one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blocks = min(cpus, n)
+    bounds = [n * b // blocks for b in range(blocks + 1)]
+
+    def fill(lo, hi):
+        # the graph stores both directions, so the directed search is exact
+        # and skips scipy's own symmetrization
+        rows[lo:hi] = shortest_path(graph, method="D", directed=True,
+                                    indices=np.arange(lo, hi))
+
+    children = {}
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:  # child: fill its block and exit, never return to the caller
+                status = 1
+                try:
+                    fill(lo, hi)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            children[pid] = (lo, hi)
+        fill(bounds[0], bounds[1])
+    finally:
+        failed = [block for pid, block in children.items()
+                  if os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise RuntimeError(f"shortest-path worker failed on row blocks {failed}")
+    dist = np.minimum(rows, rows.T)  # exact symmetry
     np.fill_diagonal(dist, 0.0)
     if np.any(np.isinf(dist)):
         raise ValueError("graph disconnected after weighting")

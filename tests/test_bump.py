@@ -191,6 +191,13 @@ def test_rho_rejects_bad_slope(eta, table):
         bump.make_rho(eta, r1, -1.0, table)
 
 
+@pytest.mark.parametrize("slope", [1.0, 2.0])
+def test_rho_rejects_slope_at_least_one(eta, table, slope):
+    r1 = bump.compute_r1(eta)
+    with pytest.raises(bump.ConstructionError, match="needs c < 1"):
+        bump.make_rho(eta, r1, slope, table)
+
+
 def test_rho_monotone_in_neck_slope(eta, table):
     r1 = bump.compute_r1(eta)
     rs = np.linspace(r1 + 1 / 16 + 0.01, 2.0, 50)
@@ -221,7 +228,7 @@ def test_smoothness_flags_linear_rho():
     prof = ProfilePair(rho=polynomial_radial([1.0, 1.0]),
                        phi=polynomial_radial([0.0, 4.0]))
     report = bump.smoothness_check(prof)
-    flags = report.flags
+    flags = {c.name: c.passed for c in report.checks}
     assert not flags["rho'(0)"]
     assert flags["phi(0)"] and flags["phi'(0)"] and flags["rho(0)"]
 

@@ -60,6 +60,17 @@ def test_build_profile_rejects_nonpositive(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["build-profile", "collapse"])
+@pytest.mark.parametrize("slope", ["1", "2", "100"])
+def test_neck_slope_at_least_one_is_a_construction_failure(tmp_path, capsys,
+                                                           command, slope):
+    code = main([command, "--out", str(tmp_path), "--neck-slope", slope])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "construction failed" in err and "needs c < 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["build-profile", "--tol", "1e-9"],
     ["build-profile", "--grid", "1024"],

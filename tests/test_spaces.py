@@ -1,16 +1,21 @@
 """Metric-space sampling, GH bounds, and the collapse experiment."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from conekit import profiles, spaces
 from conekit.quaternions import Q8, qmul, random_unit
 from conekit.spaces import (
     collapse_experiment,
     from_distance_matrix,
+    geodesics,
     gh_upper_bound,
+    neighbor_graph,
     quotient_dist_round,
     sample_annulus,
     sample_sphere,
@@ -154,6 +159,78 @@ def test_sample_determinism(lab_profile):
     a = sample_annulus(lab_profile, 1.0, 4.0, 120, seed=42)
     b = sample_annulus(lab_profile, 1.0, 4.0, 120, seed=42)
     assert np.array_equal(a.dist, b.dist)
+
+
+# ---------------------------------------------------------------------------
+# all-pairs shortest paths split across processes
+# ---------------------------------------------------------------------------
+
+def _weighted_graph(kind, lab_profile):
+    """(n, edges, weights) of an n=800 q8 annulus or an n=1000 trivial sphere."""
+    rng = np.random.default_rng(6)
+    if kind == "annulus":
+        profile, group = lab_profile, "q8"
+        radii, quats = spaces._draw_points(rng, 800, 1.0, 4.0, group)
+    else:
+        profile, group = profiles.round_profile(), "trivial"
+        radii, quats = spaces._draw_points(rng, 1000, 1.0, 1.0, group)
+    edges = neighbor_graph(radii, quats, group)
+    return len(radii), edges, weigh(profile, radii, quats, edges, group)
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Give ``geodesics`` an affinity mask of ``cpus`` CPUs; return a fork counter."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("kind", ["annulus", "sphere"])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_geodesics_split_is_exact(monkeypatch, lab_profile, kind, cpus):
+    # 1000 rows over 3 CPUs make uneven blocks; one CPU forks nothing
+    n, edges, weights = _weighted_graph(kind, lab_profile)
+    graph = csr_matrix((np.concatenate([weights, weights]),
+                        (np.concatenate([edges[:, 0], edges[:, 1]]),
+                         np.concatenate([edges[:, 1], edges[:, 0]]))), shape=(n, n))
+    expect = shortest_path(graph, method="D", directed=False)
+    expect = np.minimum(expect, expect.T)
+    np.fill_diagonal(expect, 0.0)
+    forks = _use_cpus(monkeypatch, cpus)
+    assert np.array_equal(geodesics(n, edges, weights), expect)
+    assert len(forks) == cpus - 1
+
+
+@pytest.mark.parametrize("failing", ["child", "caller"])
+def test_geodesics_worker_failure_raises_and_reaps(monkeypatch, lab_profile, failing):
+    n, edges, weights = _weighted_graph("sphere", lab_profile)
+    real = spaces.shortest_path
+
+    def flaky(graph, *args, indices, **kwargs):
+        if (indices[0] == 0) == (failing == "caller"):
+            raise MemoryError("injected")
+        return real(graph, *args, indices=indices, **kwargs)
+    monkeypatch.setattr(spaces, "shortest_path", flaky)
+    _use_cpus(monkeypatch, 3)
+    expected = RuntimeError if failing == "child" else MemoryError
+    with pytest.raises(expected):
+        geodesics(n, edges, weights)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_geodesics_disconnected_graph(monkeypatch, cpus):
+    _use_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="graph disconnected after weighting"):
+        geodesics(5, np.array([[0, 1], [2, 3], [3, 4]]), np.ones(3))
 
 
 def test_graph_distance_matches_round_quotient():
