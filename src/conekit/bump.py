@@ -19,6 +19,7 @@ time; a failed claim raises :class:`ConstructionError` naming the claim.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -48,11 +49,16 @@ __all__ = [
 
 REFERENCE_NECK_SLOPE = math.exp(-100.0)
 _SUPPORT = (0.0, 0.25)
+# where eta is claimed to stay above its floor, and to be non-increasing
+_FLOOR_WINDOW = (1.0 / 16.0, 3.0 / 16.0)
 _TAIL_WINDOW = (0.125, 0.25)
 # grid sizes of the certification sweeps: the bump over its support, the
 # profiles over each claimed interval
 _ETA_CHECKS = 4001
 _PROFILE_CHECKS = 513
+# Gauss-Legendre order and panels per segment of the one-off bump integrals
+_SEGMENT_ORDER = 24
+_SEGMENT_PANELS = 8
 
 
 class ConstructionError(ValueError):
@@ -103,7 +109,7 @@ def smooth_step_prime(x):
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """A bump on the reals with closed-form derivative and certified constants.
+    """A bump on the reals with closed-form derivative and its mass.
 
     ``segments`` lists the breakpoints (support ends plus interior corners)
     so that quadrature panels never straddle a feature of the function.
@@ -114,38 +120,18 @@ class BumpSpec:
 
     eta: Callable
     eta_prime: Callable
-    support: tuple[float, float]
     segments: tuple[float, ...]
-    ceiling: float
     mass: float
-    floor: float
-    floor_window: tuple[float, float]
-    tail_window: tuple[float, float]
-    amplitude: float
 
     def __call__(self, x):
         return self.eta(x)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_gl_rule = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def _gl_rule(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _gl_fixed(f, a, b, order=24):
-    """Gauss-Legendre integral of f over [a, b] (scalars)."""
-    x, w = _gl_rule(order)
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x
-    return half * float(np.dot(w, f(nodes)))
-
-
-def _gl_partial(f, a, x, order=24):
-    """Vectorized GL integral of f over [a_i, x_i] for arrays a, x."""
+def _gl(f, a, x, order):
+    """Gauss-Legendre integral of f over [a, x], elementwise for arrays a, x."""
     xs, w = _gl_rule(order)
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -154,13 +140,13 @@ def _gl_partial(f, a, x, order=24):
     return half * np.dot(f(nodes), w)
 
 
-def _segment_quad(f, segments, order=24, subdiv=8):
+def _segment_quad(f, segments):
     """Integral of f over the union of segments, panels aligned to breakpoints."""
     total = 0.0
     for a, b in zip(segments[:-1], segments[1:]):
-        edges = np.linspace(a, b, subdiv + 1)
+        edges = np.linspace(a, b, _SEGMENT_PANELS + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
-            total += _gl_fixed(f, lo, hi, order)
+            total += _gl(f, lo, hi, _SEGMENT_ORDER)
     return total
 
 
@@ -208,33 +194,28 @@ def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), ceiling=64.0, mass=4.0,
             f"{amplitude:.6g} < floor {floor}; achieved mass would violate "
             f"eta >= {floor} on the floor window")
 
-    eta = lambda x: amplitude * unit(x)
-    eta_prime = lambda x: amplitude * unit_prime(x)
-
-    spec = BumpSpec(
-        eta=eta, eta_prime=eta_prime, support=_SUPPORT, segments=segments,
-        ceiling=ceiling, mass=amplitude * unit_mass, floor=floor,
-        floor_window=(1.0 / 16.0, 3.0 / 16.0),
-        tail_window=_TAIL_WINDOW, amplitude=amplitude,
-    )
-    _certify_eta(spec, mass)
+    spec = BumpSpec(eta=lambda x: amplitude * unit(x),
+                    eta_prime=lambda x: amplitude * unit_prime(x),
+                    segments=segments, mass=amplitude * unit_mass)
+    _certify_eta(spec, mass, ceiling, floor)
     return spec
 
 
-def _certify_eta(spec: BumpSpec, requested_mass: float) -> None:
-    lo, hi = spec.support
+def _certify_eta(spec: BumpSpec, requested_mass: float, ceiling: float,
+                 floor: float) -> None:
+    lo, hi = _SUPPORT
     xs = np.linspace(lo, hi, _ETA_CHECKS)
     vals = spec.eta(xs)
-    if np.any(vals < -1e-12) or np.any(vals > spec.ceiling + 1e-12):
+    if np.any(vals < -1e-12) or np.any(vals > ceiling + 1e-12):
         raise ConstructionError("range claim failed: eta outside [0, ceiling]")
     outside = spec.eta(np.array([lo - 0.05, lo - 1e-9, hi + 1e-9, hi + 0.05]))
     if np.any(np.abs(outside) > 0.0):
         raise ConstructionError("support claim failed: eta != 0 outside support")
-    f0, f1 = spec.floor_window
+    f0, f1 = _FLOOR_WINDOW
     fw = xs[(xs >= f0) & (xs <= f1)]
-    if np.any(spec.eta(fw) < spec.floor - 1e-12):
+    if np.any(spec.eta(fw) < floor - 1e-12):
         raise ConstructionError("floor claim failed: eta < floor on floor window")
-    t0, t1 = spec.tail_window
+    t0, t1 = _TAIL_WINDOW
     tw = xs[(xs >= t0) & (xs <= t1)]
     if np.any(spec.eta_prime(tw) > 1e-12):
         raise ConstructionError("tail monotonicity claim failed: eta' > 0 on tail window")
@@ -256,12 +237,9 @@ def idealized_step_bump(amplitude=32.0, window=(1.0 / 16.0, 3.0 / 16.0)) -> Bump
         return np.where((x >= a) & (x <= b), amplitude, 0.0)
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return BumpSpec(
-        eta=eta, eta_prime=zero, support=_SUPPORT,
-        segments=(_SUPPORT[0], a, b, _SUPPORT[1]), ceiling=64.0,
-        mass=amplitude * (b - a), floor=16.0, floor_window=window,
-        tail_window=_TAIL_WINDOW, amplitude=amplitude,
-    )
+    return BumpSpec(eta=eta, eta_prime=zero,
+                    segments=(_SUPPORT[0], a, b, _SUPPORT[1]),
+                    mass=amplitude * (b - a))
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +268,35 @@ class QuadratureTable:
     def mass(self) -> float:
         return float(self.first_antiderivative[-1])
 
+    def _locate(self, x):
+        """x clipped to the grid and the index of the panel that holds it."""
+        xc = np.clip(x, self.grid[0], self.grid[-1])
+        idx = np.clip(np.searchsorted(self.grid, xc, side="right") - 1,
+                      0, len(self.grid) - 2)
+        return xc, idx
+
     def antiderivative(self, x):
         """E(x) = int_0^x eta, for any real x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self.grid[0], self.grid[-1]
-        xc = np.clip(x, lo, hi)
-        idx = np.clip(np.searchsorted(self.grid, xc, side="right") - 1,
-                      0, len(self.grid) - 2)
+        xc, idx = self._locate(x)
         base = self.first_antiderivative[idx]
-        part = _gl_partial(self.bump.eta, self.grid[idx], xc, self.order)
+        part = _gl(self.bump.eta, self.grid[idx], xc, self.order)
         out = base + part
-        out = np.where(x <= lo, 0.0, out)
-        out = np.where(x >= hi, self.mass, out)
+        out = np.where(x <= self.grid[0], 0.0, out)
+        out = np.where(x >= self.grid[-1], self.mass, out)
         return out if out.ndim else float(out)
 
     def antiderivative2(self, x):
         """Phi2(x) = int_0^x E, for any real x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self.grid[0], self.grid[-1]
-        xc = np.clip(x, lo, hi)
-        idx = np.clip(np.searchsorted(self.grid, xc, side="right") - 1,
-                      0, len(self.grid) - 2)
+        xc, idx = self._locate(x)
         a = self.grid[idx]
         base = (self.second_antiderivative[idx]
                 + self.first_antiderivative[idx] * (xc - a))
-        part = _gl_partial(
-            lambda s: (np.expand_dims(xc, -1) - s) * self.bump.eta(s),
-            a, xc, self.order)
+        part = _gl(lambda s: (np.expand_dims(xc, -1) - s) * self.bump.eta(s),
+                   a, xc, self.order)
         out = base + part
+        lo, hi = self.grid[0], self.grid[-1]
         end = float(self.second_antiderivative[-1])
         out = np.where(x <= lo, 0.0, out)
         out = np.where(x >= hi, end + self.mass * (x - hi), out)
@@ -335,9 +314,9 @@ def build_table(bump: BumpSpec, cells_per_segment=24, order=24) -> QuadratureTab
         p = np.zeros(len(grid))
         for i in range(len(grid) - 1):
             a, b = grid[i], grid[i + 1]
-            e[i + 1] = e[i] + _gl_fixed(bump.eta, a, b, ordr)
+            e[i + 1] = e[i] + _gl(bump.eta, a, b, ordr)
             p[i + 1] = (p[i] + e[i] * (b - a)
-                        + _gl_fixed(lambda s: (b - s) * bump.eta(s), a, b, ordr))
+                        + _gl(lambda s: (b - s) * bump.eta(s), a, b, ordr))
         return e, p
 
     e_hi, p_hi = cumulative(order)
@@ -376,15 +355,14 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable) -> RadialFunction
     Certified claims: slope 4 on [0, r1], slope 0 from 1/4 + r1 on,
     value 1 at 1/4 + r1, phi <= 1 everywhere, phi > 0 for r > 0.
     """
-    sup_hi = eta.support[1]
+    sup_hi = _SUPPORT[1]
 
-    fns = [
-        lambda r: 4.0 * np.asarray(r, dtype=float) - table.antiderivative2(np.asarray(r, dtype=float) - r1),
-        lambda r: 4.0 - table.antiderivative(np.asarray(r, dtype=float) - r1),
-        lambda r: -np.asarray(eta.eta(np.asarray(r, dtype=float) - r1), dtype=float),
-        lambda r: -np.asarray(eta.eta_prime(np.asarray(r, dtype=float) - r1), dtype=float),
-    ]
-    phi = RadialFunction(fns, "phi")
+    phi = RadialFunction([
+        lambda r: 4.0 * r - table.antiderivative2(r - r1),
+        lambda r: 4.0 - table.antiderivative(r - r1),
+        lambda r: -eta.eta(r - r1),
+        lambda r: -eta.eta_prime(r - r1),
+    ])
 
     head = np.linspace(0.0, r1, _PROFILE_CHECKS)
     if np.max(np.abs(phi(head, 1) - 4.0)) > 1e-12:
@@ -426,16 +404,12 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     slope_integral = 0.5 * table.mass
     delta = neck_slope / slope_integral
 
-    def arg(r):
-        return 2.0 * np.asarray(r, dtype=float) - shift
-
-    fns = [
-        lambda r: 1.0 + delta * 0.25 * table.antiderivative2(arg(r)),
-        lambda r: delta * 0.5 * table.antiderivative(arg(r)),
-        lambda r: delta * np.asarray(eta.eta(arg(r)), dtype=float),
-        lambda r: 2.0 * delta * np.asarray(eta.eta_prime(arg(r)), dtype=float),
-    ]
-    rho = RadialFunction(fns, "rho")
+    rho = RadialFunction([
+        lambda r: 1.0 + delta * 0.25 * table.antiderivative2(2.0 * r - shift),
+        lambda r: delta * 0.5 * table.antiderivative(2.0 * r - shift),
+        lambda r: delta * eta.eta(2.0 * r - shift),
+        lambda r: 2.0 * delta * eta.eta_prime(2.0 * r - shift),
+    ])
 
     if delta > 32.0 * neck_slope:
         raise ConstructionError(
@@ -472,7 +446,11 @@ def build_profile(neck_slope: float = REFERENCE_NECK_SLOPE, *, plateau=(1.0 / 16
 # smoothness certification at the axis
 # ---------------------------------------------------------------------------
 
-def smoothness_check(profile: ProfilePair, step: float = 1e-5) -> VerificationReport:
+# finite-difference step of the first-derivative axis checks
+_AXIS_STEP = 1e-5
+
+
+def smoothness_check(profile: ProfilePair) -> VerificationReport:
     """Finite-difference checks of the axis conditions at r = 0.
 
     Verifies phi(0) = 0, phi'(0) = 4, rho(0) = 1, rho'(0) = 0, rho'''(0) = 0
@@ -481,9 +459,9 @@ def smoothness_check(profile: ProfilePair, step: float = 1e-5) -> VerificationRe
     tolerances.
     """
     rho, phi = profile.rho, profile.phi
-    h = step
-    h2 = max(step * 10, 1e-4)   # second-derivative stencil
-    h3 = max(step * 100, 1e-3)  # third-derivative stencil
+    h = _AXIS_STEP
+    h2 = max(_AXIS_STEP * 10, 1e-4)   # second-derivative stencil
+    h3 = max(_AXIS_STEP * 100, 1e-3)  # third-derivative stencil
 
     def d1(f, h_):
         return (f(h_) - f(-h_)) / (2.0 * h_)
@@ -504,7 +482,7 @@ def smoothness_check(profile: ProfilePair, step: float = 1e-5) -> VerificationRe
         BoundCheck("(rho*phi)''(0)", d2(prod, h2), 0.0, "match", 1e-6),
     )
     return VerificationReport(label="axis smoothness", grid_size=5,
-                              tol=step, checks=checks)
+                              tol=_AXIS_STEP, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +491,10 @@ def smoothness_check(profile: ProfilePair, step: float = 1e-5) -> VerificationRe
 
 _FORMAT = "conekit-profile"
 _VERSION = 1
+_SAMPLES = 33  # (rho, phi) samples stored on [0, r1 + 1]
 
 
-def save_profile(profile: ProfilePair, path: str, n_samples: int = 33) -> None:
+def save_profile(profile: ProfilePair, path: str) -> None:
     """Write a versioned JSON document from which the profile can be rebuilt.
 
     Stores the construction parameters plus a sample grid of (rho, phi)
@@ -524,7 +503,7 @@ def save_profile(profile: ProfilePair, path: str, n_samples: int = 33) -> None:
     """
     if profile.build_params is None:
         raise ValueError("only constructed profiles are serializable")
-    rs = np.linspace(0.0, profile.r1 + 1.0, n_samples)
+    rs = np.linspace(0.0, profile.r1 + 1.0, _SAMPLES)
     doc = {
         "format": _FORMAT,
         "version": _VERSION,

@@ -16,8 +16,9 @@ claim fails (an infeasible build, or a profile.json whose stored samples
 or constants disagree with its rebuild); 2 for usage, input and I/O
 errors (bad or unknown arguments, a missing file or directory, a profile
 document of unrecognized format or version, or with missing, extra or
-non-numeric keys).  :func:`main` is the one place that maps errors to
-these codes.
+non-numeric keys); 141 (128 + SIGPIPE) when the reader of standard
+output closes it early, after every artifact has been written.
+:func:`main` is the one place that maps errors to these codes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bump, verify
+from .frame import ricci_curve
 from .obstruction import GROUPS, TopologicalData, betti_constraints, hitchin_check
 from .reports import VerificationReport
 
@@ -43,22 +45,31 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _write_csv(path: str, header: list[str], rows, note: str = "") -> None:
+    """A CSV headed by a ``# generated <timestamp>[, note]`` comment line.
+
+    ``csv`` writes a float with ``str``, whose shortest digits round-trip exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# generated {_timestamp()}{', ' + note if note else ''}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_reports(reports: list[VerificationReport], args: argparse.Namespace,
                    stem: str) -> None:
     path = os.path.join(args.out, f"{stem}.{args.format}")
-    with open(path, "w", newline="") as fh:
-        if args.format == "json":
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(f"# generated {_timestamp()}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["report", "check", "value", "bound", "kind",
-                             "tol", "passed"])
-            writer.writerows([rep.label, c.name, repr(float(c.value)),
-                              repr(float(c.bound)), c.kind, repr(float(c.tol)),
-                              int(c.passed)]
-                             for rep in reports for c in rep.checks)
+    if args.format == "csv":
+        header = ["report", "check", "value", "bound", "kind", "tol", "passed"]
+        _write_csv(path, header,
+                   ([rep.label, c.name, float(c.value), float(c.bound), c.kind,
+                     float(c.tol), int(c.passed)]
+                    for rep in reports for c in rep.checks))
+        return
+    with open(path, "w") as fh:
+        json.dump([r.to_dict() for r in reports], fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_build_profile(args: argparse.Namespace) -> int:
@@ -83,8 +94,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                         n_grid=args.grid, tol=args.tol))
     _write_reports(reports, args, "verification")
     radii = np.linspace(verify.R_FLOOR, args.rmax, args.grid)
-    verify.write_curve_csv(os.path.join(args.out, "ricci_curve.csv"), profile,
-                           radii, comment=f"generated {_timestamp()}")
+    curve = ricci_curve(profile, radii)
+    _write_csv(os.path.join(args.out, "ricci_curve.csv"), ["r", *verify.ENTRY_NAMES],
+               np.column_stack([radii, curve.T]).tolist())
     ok = True
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -106,11 +118,9 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     result = spaces.collapse_experiment(profile, args.eps, n=args.n,
                                         seed=args.seed, r_outer=args.rmax)
     path = os.path.join(args.out, "collapse.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# generated {_timestamp()}, seed {result.seed}\n")
-        fh.write("eps,gh_bound,diameter\n")
-        for row in result.rows:
-            fh.write(f"{row.eps!r},{row.gh_bound!r},{row.diameter!r}\n")
+    _write_csv(path, ["eps", "gh_bound", "diameter"],
+               ([row.eps, row.gh_bound, row.diameter] for row in result.rows),
+               note=f"seed {result.seed}")
     if args.format == "json":
         with open(os.path.join(args.out, "collapse.json"), "w") as fh:
             json.dump({"seed": result.seed, "n": result.n,
@@ -210,7 +220,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.command(args)
+        code = args.command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send the unflushed rest to devnull so the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except bump.ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1

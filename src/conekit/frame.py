@@ -82,7 +82,7 @@ def ricci_curve(profile: ProfilePair, r) -> np.ndarray:
             - 2 * phi**2 / rho**2 + 2 * rho1**2 / rho**2)
     r22 = (-rho2 / rho - mixed
            + 4 / rho**2 - 2 * phi**2 / rho**2 - 2 * rho1**2 / rho**2)
-    out = np.stack([r00, r11, r22, r22.copy()])
+    out = np.stack([r00, r11, r22, r22])
     if not np.all(np.isfinite(out)):
         bad = r[~np.all(np.isfinite(out), axis=0)]
         raise FrameDomainError(f"non-finite Ricci entries at r={bad!r}")
@@ -135,15 +135,11 @@ def _bracket_table(profile: ProfilePair, r: float) -> np.ndarray:
     s = np.array([1.0, rho * phi, rho, rho])
     s1 = np.array([0.0, rho1 * phi + rho * phi1, rho1, rho1])
 
-    c = np.zeros((4, 4, 4))
-    for a in range(1, 4):
-        c[0, a, a] = -s1[a] / s[a]
-        c[a, 0, a] = s1[a] / s[a]
-    for a in range(1, 4):
-        for b in range(1, 4):
-            for k in range(1, 4):
-                if _EPS3[a, b, k]:
-                    c[a, b, k] = 2.0 * _EPS3[a, b, k] * s[k] / (s[a] * s[b])
+    # [e_a, e_b] = 2 eps_abk s_k / (s_a s_b) e_k and [e_0, e_a] = -(s_a' / s_a) e_a
+    c = 2.0 * _EPS3 * s / np.multiply.outer(s, s)[:, :, None]
+    a = np.arange(1, 4)
+    c[0, a, a] = -s1[a] / s[a]
+    c[a, 0, a] = s1[a] / s[a]
     return c
 
 

@@ -33,69 +33,54 @@ class RadialFunction:
     """A smooth scalar function of the radius with derivatives up to order 3.
 
     Wraps four vectorized callables (the function and its first three
-    derivatives).  Calls accept scalars or numpy arrays and mirror the
-    input shape.
+    derivatives), each taking a float array and returning an array of its
+    shape.  Calls accept scalars or numpy arrays and return a float for a
+    scalar radius.
     """
 
-    def __init__(self, derivs: Sequence[Callable], name: str = ""):
+    def __init__(self, derivs: Sequence[Callable]):
         if len(derivs) != 4:
             raise ValueError("need callables for orders 0..3")
         self._derivs = tuple(derivs)
-        self.name = name
 
     def __call__(self, r, order: int = 0):
         if not 0 <= order <= 3:
             raise ValueError(f"derivative order {order} not available")
-        r_arr = np.asarray(r, dtype=float)
-        out = np.asarray(self._derivs[order](r_arr), dtype=float)
-        out = np.broadcast_to(out, r_arr.shape)
-        if np.ndim(r) == 0:
-            return float(out)
-        return np.array(out)
+        r = np.asarray(r, dtype=float)
+        out = self._derivs[order](r)
+        return float(out) if r.ndim == 0 else out
 
-    def __repr__(self):
-        return f"RadialFunction({self.name or 'anonymous'})"
-
-    def scaled(self, factor: float, name: str = "") -> "RadialFunction":
+    def scaled(self, factor: float) -> "RadialFunction":
         """Pointwise multiple ``factor * f`` (all derivatives scale alike)."""
-        fns = [
-            (lambda g: (lambda r: factor * g(r)))(g) for g in self._derivs
-        ]
-        return RadialFunction(fns, name or f"{factor}*{self.name}")
+        return RadialFunction([(lambda g: (lambda r: factor * g(r)))(g)
+                               for g in self._derivs])
 
 
-def constant_radial(value: float, name: str = "") -> RadialFunction:
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return RadialFunction(
-        [lambda r: np.full_like(np.asarray(r, dtype=float), value), zero, zero, zero],
-        name or f"const({value})",
-    )
+def constant_radial(value: float) -> RadialFunction:
+    zero = np.zeros_like
+    return RadialFunction([lambda r: np.full_like(r, value), zero, zero, zero])
 
 
-def polynomial_radial(coeffs: Sequence[float], name: str = "") -> RadialFunction:
+def polynomial_radial(coeffs: Sequence[float]) -> RadialFunction:
     """Polynomial in r from low-order coefficients, e.g. [1, 1] for 1 + r."""
     polys = [np.polynomial.Polynomial(list(coeffs))]
     for _ in range(3):
         polys.append(polys[-1].deriv())
-    return RadialFunction([(lambda p: (lambda r: p(r)))(p) for p in polys],
-                          name or f"poly{tuple(coeffs)}")
+    return RadialFunction(polys)
 
 
-def sinusoid_radial(a0: float, a1: float, omega: float, phase: float,
-                    name: str = "") -> RadialFunction:
+def sinusoid_radial(a0: float, a1: float, omega: float, phase: float) -> RadialFunction:
     """``a0 + a1*sin(omega*r + phase)`` with analytic derivatives."""
 
     def deriv(k):
         def f(r):
-            base = a1 * omega**k * np.sin(omega * np.asarray(r, dtype=float)
-                                          + phase + k * np.pi / 2)
+            base = a1 * omega**k * np.sin(omega * r + phase + k * np.pi / 2)
             if k == 0:
                 return a0 + base
             return base
         return f
 
-    return RadialFunction([deriv(k) for k in range(4)],
-                          name or f"sinusoid({a0},{a1},{omega})")
+    return RadialFunction([deriv(k) for k in range(4)])
 
 
 @dataclass(frozen=True)
@@ -129,17 +114,15 @@ class ProfilePair:
         rho, phi = self.rho, self.phi
 
         def rho_k(k):
-            return lambda r: eps ** (1 - k) * rho(np.asarray(r, dtype=float) / eps, k)
+            return lambda r: eps ** (1 - k) * rho(r / eps, k)
 
         def phi_k(k):
-            return lambda r: eps ** (-k) * phi(np.asarray(r, dtype=float) / eps, k)
+            return lambda r: eps ** (-k) * phi(r / eps, k)
 
         return replace(
             self,
-            rho=RadialFunction([rho_k(k) for k in range(4)],
-                               f"rescale({eps})*{rho.name}"),
-            phi=RadialFunction([phi_k(k) for k in range(4)],
-                               f"rescale({eps})*{phi.name}"),
+            rho=RadialFunction([rho_k(k) for k in range(4)]),
+            phi=RadialFunction([phi_k(k) for k in range(4)]),
             r1=None,
             delta=None,
             build_params=None,
@@ -148,28 +131,28 @@ class ProfilePair:
 
 def flat_profile() -> ProfilePair:
     """rho = r, phi = 1: the flat cone over the round 3-sphere (R^4)."""
-    return ProfilePair(rho=polynomial_radial([0.0, 1.0], "r"),
-                       phi=constant_radial(1.0, "1"))
+    return ProfilePair(rho=polynomial_radial([0.0, 1.0]),
+                       phi=constant_radial(1.0))
 
 
 def round_profile() -> ProfilePair:
     """rho = 1, phi = 1: the product metric dr^2 + (unit round S^3)."""
-    return ProfilePair(rho=constant_radial(1.0, "1"),
-                       phi=constant_radial(1.0, "1"))
+    return ProfilePair(rho=constant_radial(1.0),
+                       phi=constant_radial(1.0))
 
 
 def berger_profile(t: float) -> ProfilePair:
     """rho = 1, phi = t: cylinder over a Berger sphere with fiber scale t."""
-    return ProfilePair(rho=constant_radial(1.0, "1"),
-                       phi=constant_radial(t, f"{t}"))
+    return ProfilePair(rho=constant_radial(1.0),
+                       phi=constant_radial(t))
 
 
 def cone_profile(slope: float) -> ProfilePair:
     """rho = slope*r, phi = 1: the exact metric cone over (S^3, slope^2 * round)."""
     if slope <= 0:
         raise ValueError("cone slope must be positive")
-    return ProfilePair(rho=polynomial_radial([0.0, slope], f"{slope}*r"),
-                       phi=constant_radial(1.0, "1"),
+    return ProfilePair(rho=polynomial_radial([0.0, slope]),
+                       phi=constant_radial(1.0),
                        neck_slope=slope)
 
 

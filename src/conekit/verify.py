@@ -27,8 +27,6 @@ __all__ = [
     "verify_region",
     "verify_nonneg",
     "negative_control",
-    "grid_minima",
-    "write_curve_csv",
 ]
 
 ENTRY_NAMES = ("r00", "r11", "r22", "r33")
@@ -63,14 +61,12 @@ def standard_regions(profile: ProfilePair, r_max: float = 3.0) -> tuple[Region, 
                  for lab, a, b in zip(labels, cuts[:-1], cuts[1:]))
 
 
-def grid_minima(profile: ProfilePair, radii: np.ndarray) -> dict[str, float]:
-    """Per-entry Ricci minima over the radii (independent of their order)."""
-    mins = ricci_curve(profile, np.asarray(radii, dtype=float)).min(axis=1)
-    return dict(zip(ENTRY_NAMES, mins))
+# endpoint bisections per side before the refinement stops
+_MAX_BISECTIONS = 48
 
 
 def _refined_radii(profile: ProfilePair, lo: float, hi: float, n_grid: int,
-                   tol: float, max_bisections: int = 48) -> np.ndarray:
+                   tol: float) -> np.ndarray:
     """Base grid plus bisection refinement toward both endpoints.
 
     Near each endpoint the first subinterval is halved until consecutive
@@ -82,7 +78,7 @@ def _refined_radii(profile: ProfilePair, lo: float, hi: float, n_grid: int,
     for anchor, direction in ((lo, +1.0), (hi, -1.0)):
         d = (hi - lo) / (n_grid - 1)
         prev = ricci_curve(profile, anchor + direction * d)[:, 0]
-        for _ in range(max_bisections):
+        for _ in range(_MAX_BISECTIONS):
             d *= 0.5
             pt = anchor + direction * d
             cur = ricci_curve(profile, pt)[:, 0]
@@ -93,13 +89,12 @@ def _refined_radii(profile: ProfilePair, lo: float, hi: float, n_grid: int,
     return np.unique(np.concatenate([base, np.asarray(extras)]))
 
 
-def _entry_checks(minima: dict, bounds: list, tol: float) -> list[BoundCheck]:
-    checks = []
-    for name, bound, expr in bounds:
-        checks.append(BoundCheck(name=f"{name}_min", value=minima[name],
-                                 bound=bound, kind="min_ge", tol=tol,
-                                 bound_expr=expr))
-    return checks
+def _entry_checks(vals: np.ndarray, bounds: list, tol: float) -> list[BoundCheck]:
+    """One ``min_ge`` check per Ricci entry; ``vals`` is ``ricci_curve`` on the grid."""
+    minima = dict(zip(ENTRY_NAMES, vals.min(axis=1)))
+    return [BoundCheck(name=f"{name}_min", value=minima[name], bound=bound,
+                       kind="min_ge", tol=tol, bound_expr=expr)
+            for name, bound, expr in bounds]
 
 
 def _declared_bounds(region: Region, profile: ProfilePair) -> list:
@@ -160,10 +155,9 @@ def verify_region(profile: ProfilePair, region: Region, n_grid: int = 1024,
         raise ValueError("n_grid must be at least 64")
     lo = max(region.lo, R_FLOOR)
     radii = _refined_radii(profile, lo, region.hi, n_grid, tol)
-    minima = grid_minima(profile, radii)
-    checks = _entry_checks(minima, _declared_bounds(region, profile), tol)
+    vals = ricci_curve(profile, radii)
+    checks = _entry_checks(vals, _declared_bounds(region, profile), tol)
     if region.label == "Part4":
-        vals = ricci_curve(profile, radii)
         worst_r00 = float(np.abs(vals[0]).max())
         checks.append(BoundCheck("r00_flat", worst_r00, 0.0, "match", 1e-10,
                                  bound_expr="r00 == 0 on the tail"))
@@ -179,8 +173,8 @@ def verify_nonneg(profile: ProfilePair, r_max: float = 3.0, n_grid: int = 4096,
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
     radii = _refined_radii(profile, R_FLOOR, r_max, n_grid, tol)
-    minima = grid_minima(profile, radii)
-    checks = _entry_checks(minima, [(n, 0.0, "0") for n in ENTRY_NAMES], tol)
+    checks = _entry_checks(ricci_curve(profile, radii),
+                           [(n, 0.0, "0") for n in ENTRY_NAMES], tol)
     return VerificationReport(label=f"nonnegativity sweep [1e-06, {r_max:g}]",
                               grid_size=len(radii), tol=tol,
                               checks=tuple(checks))
@@ -189,17 +183,3 @@ def verify_nonneg(profile: ProfilePair, r_max: float = 3.0, n_grid: int = 4096,
 def negative_control(profile: ProfilePair) -> ProfilePair:
     """The doubled-fiber profile (phi'(0) forced to 8): must fail verification."""
     return scale_phi(profile, 2.0)
-
-
-def write_curve_csv(path: str, profile: ProfilePair, radii,
-                    comment: str = "") -> None:
-    """Flat curvature curve (r, r00, r11, r22, r33) for plotting."""
-    radii = np.asarray(radii, dtype=float)
-    vals = ricci_curve(profile, radii)
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("r,r00,r11,r22,r33\n")
-        for i, r in enumerate(radii):
-            row = ",".join(repr(float(v)) for v in vals[:, i])
-            fh.write(f"{float(r)!r},{row}\n")

@@ -53,8 +53,9 @@ def test_eta_derivative_is_consistent(eta):
 
 
 def test_eta_plateau_amplitude(eta):
-    # mass 4 over effective width 3/16 forces amplitude 64/3
-    assert eta.amplitude == pytest.approx(64.0 / 3.0, rel=1e-12)
+    # mass 4 over effective width 3/16 forces amplitude 64/3; both smooth
+    # steps are exactly 1 at the plateau midpoint, so eta equals it there
+    assert eta(0.125) == pytest.approx(64.0 / 3.0, rel=1e-12)
 
 
 def test_eta_infeasible_ceiling():

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conekit.bump import load_profile
 from conekit.cli import main
+from conekit.frame import ricci_curve
 
 
 def _src_env():
@@ -193,6 +196,19 @@ def test_verify_malformed_profile_is_an_input_error(built, tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_curve_csv(built, tmp_path):
+    assert main(["verify", "--profile", str(built / "profile.json"),
+                 "--out", str(tmp_path), "--grid", "64"]) == 0
+    lines = (tmp_path / "ricci_curve.csv").read_text().splitlines()
+    assert lines[0].startswith("# generated ")
+    assert lines[1] == "r,r00,r11,r22,r33"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    radii = np.linspace(1e-6, 3.0, 64)
+    assert np.array_equal(rows[:, 0], radii)
+    curve = ricci_curve(load_profile(str(built / "profile.json")), radii)
+    assert np.array_equal(rows[:, 1:], curve.T)
+
+
 def test_verify_json_format(built, tmp_path):
     code = main(["verify", "--profile", str(built / "profile.json"),
                  "--out", str(tmp_path), "--grid", "256", "--format", "json"])
@@ -301,3 +317,45 @@ assert main(["collapse", "--out", out, "--n", "120", "--eps", "1,0.5"]) == 0
                           env=_src_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_into_closed_pipe(argv, cwd, unbuffered):
+    """Run the CLI with stdout a pipe whose read end is already closed."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "conekit.cli", *argv],
+                              cwd=cwd, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_obstruction(tmp_path, unbuffered):
+    proc = _run_into_closed_pipe(["obstruction"], tmp_path, unbuffered)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_verify_keeps_artifacts(built, tmp_path, unbuffered):
+    closed, normal = tmp_path / "closed", tmp_path / "normal"
+    closed.mkdir()
+    normal.mkdir()
+    argv = ["verify", "--profile", str(built / "profile.json"), "--grid", "64"]
+    proc = _run_into_closed_pipe([*argv, "--out", str(closed)], tmp_path,
+                                 unbuffered)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+    assert main([*argv, "--out", str(normal)]) == 0
+    names = sorted(os.listdir(normal))
+    assert names == ["ricci_curve.csv", "verification.csv"]
+    assert sorted(os.listdir(closed)) == names
+    for name in names:
+        assert (_strip_timestamps((closed / name).read_text())
+                == _strip_timestamps((normal / name).read_text()))

@@ -16,10 +16,12 @@ from conekit.frame import (
 from conekit.profiles import (
     ProfilePair,
     berger_profile,
+    cone_profile,
     constant_radial,
     flat_profile,
     random_smooth_profile,
     round_profile,
+    scale_phi,
 )
 
 
@@ -161,6 +163,35 @@ def test_connection_invariants_random():
         gamma = _koszul(_bracket_table(p, rng.uniform(0.3, 3.0)))
         assert gamma[2, 0, 2] == gamma[3, 0, 3]
         assert gamma[3, 1, 2] == -gamma[2, 1, 3]
+
+
+_LEVI_CIVITA = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
+                (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
+
+
+def _bracket_table_loop(p, r):
+    """The bracket table entry by entry, the reference for the array form."""
+    rho, rho1, phi, phi1 = p.rho(r), p.rho(r, 1), p.phi(r), p.phi(r, 1)
+    s = [1.0, rho * phi, rho, rho]
+    s1 = [0.0, rho1 * phi + rho * phi1, rho1, rho1]
+    c = np.zeros((4, 4, 4))
+    for a in range(1, 4):
+        c[0, a, a] = -s1[a] / s[a]
+        c[a, 0, a] = s1[a] / s[a]
+        for b in range(1, 4):
+            for k in range(1, 4):
+                sign = _LEVI_CIVITA.get((a, b, k), 0)
+                if sign:
+                    c[a, b, k] = 2.0 * sign * s[k] / (s[a] * s[b])
+    return c
+
+
+def test_bracket_table_matches_loop():
+    rng = np.random.default_rng(6)
+    cases = [(round_profile(), 1.0), (flat_profile(), 5.0), (berger_profile(0.7), 2.0)]
+    cases += [(random_smooth_profile(rng), rng.uniform(0.3, 3.0)) for _ in range(25)]
+    for p, r in cases:
+        assert np.array_equal(_bracket_table(p, r), _bracket_table_loop(p, r))
 
 
 def test_koszul_selects_torsion_free_c23():
@@ -309,3 +340,30 @@ def test_metric_eval():
     assert metric_eval(squashed, 1.0, (0, 1, 0, 0)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         metric_eval(p, 1.0, (np.inf, 0, 0, 0))
+
+
+_CONTRACT_PROFILES = {
+    "flat": lambda built: flat_profile(),
+    "round": lambda built: round_profile(),
+    "berger": lambda built: berger_profile(0.7),
+    "cone": lambda built: cone_profile(0.3),
+    "random": lambda built: random_smooth_profile(np.random.default_rng(9)),
+    "built": lambda built: built,
+    "rescaled": lambda built: built.rescale(0.5),
+    "scaled_phi": lambda built: scale_phi(built, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_PROFILES))
+def test_radial_function_contract(name, reference_profile):
+    # every order returns a Python float for a scalar radius and a float64
+    # array of the radius' shape for arrays, constants included
+    p = _CONTRACT_PROFILES[name](reference_profile)
+    radii = np.linspace(0.05, 2.5, 6)
+    for fn in (p.rho, p.phi):
+        for order in range(4):
+            assert type(fn(0.3, order)) is float
+            for r in (radii, radii.reshape(2, 3)):
+                out = fn(r, order)
+                assert isinstance(out, np.ndarray)
+                assert out.dtype == np.float64 and out.shape == r.shape

@@ -246,12 +246,6 @@ def test_graph_distance_matches_round_quotient():
     assert abs(graph - closed) <= 0.03 * closed
 
 
-def test_round_sphere_diameter():
-    space = sample_sphere(profiles.round_profile(), 1.0, 3000, seed=11,
-                          group="trivial")
-    assert abs(space.diameter() - np.pi) <= 0.05 * np.pi
-
-
 def test_diameter_trivia():
     single = from_distance_matrix([[0.0]])
     assert single.diameter() == 0.0

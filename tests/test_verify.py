@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from conekit.frame import ricci_curve
 from conekit.profiles import flat_profile, round_profile
 from conekit.verify import (
     Region,
-    grid_minima,
     negative_control,
     standard_regions,
     verify_nonneg,
     verify_region,
-    write_curve_csv,
 )
 
 
@@ -130,11 +129,10 @@ def test_regional_minima_match_global(reference_profile):
 
 def test_partitioned_minima_are_order_independent(reference_profile):
     radii = np.linspace(1e-6, 3.0, 1001)
-    whole = grid_minima(reference_profile, radii)
+    whole = ricci_curve(reference_profile, radii).min(axis=1)
     shuffled = np.random.default_rng(0).permutation(radii)
-    scrambled = grid_minima(reference_profile, shuffled)
-    for key in whole:
-        assert whole[key] == scrambled[key]
+    scrambled = ricci_curve(reference_profile, shuffled).min(axis=1)
+    assert np.array_equal(whole, scrambled)
 
 
 def test_report_serialization(reference_profile):
@@ -145,21 +143,10 @@ def test_report_serialization(reference_profile):
         "r00_min", "r11_min", "r22_min", "r33_min"}
 
 
-def test_curve_csv(tmp_path, reference_profile):
-    path = tmp_path / "curve.csv"
-    write_curve_csv(str(path), reference_profile, np.linspace(1e-6, 3, 32),
-                    comment="fixture")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# fixture"
-    assert lines[1] == "r,r00,r11,r22,r33"
-    assert len(lines) == 34
-
-
 def test_part1_closed_identities(reference_profile):
     # with rho == 1 the entries reduce to bump expressions:
     # r00 = eta(r - r1)/phi, r11 = r00 + 2 phi^2, r22 = 4 - 2 phi^2
     from conekit.bump import make_eta
-    from conekit.frame import ricci_curve
 
     eta = make_eta()
     r1 = reference_profile.r1
