@@ -36,7 +36,6 @@ __all__ = [
     "BumpSpec",
     "QuadratureTable",
     "make_eta",
-    "idealized_step_bump",
     "build_table",
     "compute_r1",
     "make_phi",
@@ -114,17 +113,13 @@ class BumpSpec:
     ``segments`` lists the breakpoints (support ends plus interior corners)
     so that quadrature panels never straddle a feature of the function.
     Instances produced by :func:`make_eta` have passed the full
-    certification sweep; hand-built instances (e.g. the idealized step
-    bump) bypass it and are only meant as quadrature oracles.
+    certification sweep; hand-built instances bypass it.
     """
 
     eta: Callable
     eta_prime: Callable
     segments: tuple[float, ...]
     mass: float
-
-    def __call__(self, x):
-        return self.eta(x)
 
 
 _gl_rule = functools.cache(np.polynomial.legendre.leggauss)
@@ -221,25 +216,7 @@ def _certify_eta(spec: BumpSpec, requested_mass: float, ceiling: float,
         raise ConstructionError("tail monotonicity claim failed: eta' > 0 on tail window")
     if abs(spec.mass - requested_mass) > 1e-10:
         raise ConstructionError(
-            f"mass claim failed: integral = {spec.mass!r}, requested {requested_mass}")
-
-
-def idealized_step_bump(amplitude=32.0, window=(1.0 / 16.0, 3.0 / 16.0)) -> BumpSpec:
-    """Discontinuous box bump; exact closed-form integrals make it a quadrature oracle.
-
-    Not a valid smooth eta (it is not even continuous); only used to pin
-    expected values of the quadrature pipeline.
-    """
-    a, b = window
-
-    def eta(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= a) & (x <= b), amplitude, 0.0)
-
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return BumpSpec(eta=eta, eta_prime=zero,
-                    segments=(_SUPPORT[0], a, b, _SUPPORT[1]),
-                    mass=amplitude * (b - a))
+            f"mass claim failed: integral = {float(spec.mass)}, requested {requested_mass}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +320,9 @@ def compute_r1(eta: BumpSpec) -> float:
     val = _segment_quad(lambda s: (0.25 - s) * eta.eta(s), eta.segments)
     r1 = 0.25 * val
     if not (0.0 < r1 < 0.25):
-        raise ConstructionError(f"invalid bump: r1 = {r1!r} outside (0, 1/4)")
+        raise ConstructionError(f"invalid bump: r1 = {float(r1)} outside (0, 1/4)")
     if r1 < 1.0 / 32.0:
-        raise ConstructionError(f"invalid bump: r1 = {r1!r} below 1/32")
+        raise ConstructionError(f"invalid bump: r1 = {float(r1)} below 1/32")
     return r1
 
 

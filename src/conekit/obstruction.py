@@ -32,38 +32,26 @@ class SpaceFormGroup:
     for either choice when tau = 0).
     """
 
-    id: str
     order: int
     eta_magnitude: Fraction
 
 
 GROUPS = {
-    "Q8": SpaceFormGroup("Q8", 8, Fraction(3, 4)),
-    "BinaryIcosahedral": SpaceFormGroup("BinaryIcosahedral", 120,
-                                        Fraction(361, 180)),
+    "Q8": SpaceFormGroup(8, Fraction(3, 4)),
+    "BinaryIcosahedral": SpaceFormGroup(120, Fraction(361, 180)),
 }
 
 
 @dataclass(frozen=True)
 class TopologicalData:
-    """Exact Euler number, signature, and optionally the Betti vector."""
+    """Exact Euler number and signature."""
 
     chi: Fraction
     tau: Fraction
-    betti: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "chi", Fraction(self.chi))
         object.__setattr__(self, "tau", Fraction(self.tau))
-        if self.betti is not None:
-            b = tuple(int(x) for x in self.betti)
-            if len(b) != 5:
-                raise ValueError("betti vector must have entries b0..b4")
-            alt = b[0] - b[1] + b[2] - b[3] + b[4]
-            if Fraction(alt) != self.chi:
-                raise ValueError(
-                    f"chi = {self.chi} inconsistent with Betti alternating sum {alt}")
-            object.__setattr__(self, "betti", b)
 
 
 def betti_constraints(b) -> TopologicalData:
@@ -81,7 +69,7 @@ def betti_constraints(b) -> TopologicalData:
             f"Betti pattern violated: need (1, 0, 0, b3, 0), got {b}")
     if b[3] < 0:
         raise ValueError("b3 must be nonnegative")
-    return TopologicalData(chi=Fraction(1 - b[3]), tau=Fraction(0), betti=b)
+    return TopologicalData(chi=Fraction(1 - b[3]), tau=Fraction(0))
 
 
 @dataclass(frozen=True)

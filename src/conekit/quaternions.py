@@ -18,7 +18,6 @@ __all__ = [
     "qmul",
     "qconj",
     "qlog_vec",
-    "q8_orbit",
     "canonical_q8",
     "random_unit",
 ]
@@ -71,12 +70,6 @@ def qlog_vec(a):
     return v * factor[..., None]
 
 
-def q8_orbit(q):
-    """All 8 left translates of q under the quaternion group, shape (..., 8, 4)."""
-    q = np.asarray(q, dtype=float)
-    return qmul(Q8, q[..., None, :])
-
-
 def canonical_q8(q):
     """Lexicographically maximal element of the quaternion-group orbit.
 
@@ -84,7 +77,7 @@ def canonical_q8(q):
     up to sign without rounding, so orbit equality is float-exact and the
     canonical representative is a well-defined choice function.
     """
-    orbit = q8_orbit(q)
+    orbit = qmul(Q8, np.asarray(q, dtype=float)[..., None, :])  # (..., 8, 4)
     keys = tuple(orbit[..., c] for c in (3, 2, 1, 0))  # last key is primary
     idx = np.lexsort(keys, axis=-1)[..., -1]
     return np.take_along_axis(orbit, idx[..., None, None], axis=-2).squeeze(-2)

@@ -29,14 +29,12 @@ from .quaternions import BASIS, Q8, canonical_q8, qconj, qlog_vec, qmul, random_
 
 __all__ = [
     "SampledSpace",
-    "quotient_dist_round",
     "neighbor_graph",
     "weigh",
     "geodesics",
     "sample_annulus",
     "sample_sphere",
     "space_from_points",
-    "from_distance_matrix",
     "diameter",
     "gh_upper_bound",
     "CollapseRow",
@@ -45,19 +43,7 @@ __all__ = [
 ]
 
 _MIN_SAMPLE = 50
-
-
-def quotient_dist_round(q1, q2) -> float:
-    """Round distance on the quotient sphere: min over lifts of the angle.
-
-    Computes ``min_g arccos(<g*q1, q2>)`` over the 8 group elements; this
-    is the geodesic distance on the unit round quotient, and the exact
-    limit metric of the fiber spheres up to the global scale factor.
-    """
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    dots = np.einsum("gk,k->g", qmul(Q8, q1), q2)
-    return float(np.arccos(np.clip(np.max(dots), -1.0, 1.0)))
+_PROXIMITY_BLOCK = 512  # proximity rows per pass
 
 
 @dataclass
@@ -67,12 +53,8 @@ class SampledSpace:
 
     ``dist`` is a full symmetric matrix of graph-geodesic distances over the
     undirected ``edges`` (pairs ``i < j``) with lengths ``weights``.
-    ``quats`` is None for spaces built from a bare distance matrix (the
-    points are then opaque labels).
     """
 
-    radii: np.ndarray | None
-    quats: np.ndarray | None
     dist: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
@@ -94,21 +76,19 @@ class SampledSpace:
         ``edge_violation`` is the worst ``|d[s,a] - d[s,b]| - w(a,b)``, or 0
         when none is positive.
 
-        Spaces from an explicit matrix store every pair with ``w = d``, so
-        there the certificate is exactly the triangle inequality over all
-        triples.  For graph spaces it is the shortest-path optimality
-        condition: when d is symmetric, has a zero diagonal and its entries
-        are lengths of actual paths (as Dijkstra returns), walking any path
-        from s to t edge by edge gives ``d[s,t] <=`` its length (up to the
-        tolerance per hop), so d is the shortest-path metric of the graph
-        and the triangle inequality holds for every triple.
+        The certificate is the shortest-path optimality condition: when d is
+        symmetric, has a zero diagonal and its entries are lengths of actual
+        paths (as Dijkstra returns), walking any path from s to t edge by
+        edge gives ``d[s,t] <=`` its length (up to the tolerance per hop), so
+        d is the shortest-path metric of the graph and the triangle
+        inequality holds for every triple.
         """
         d = self.dist
         sym = bool(np.array_equal(d, d.T))
         diag = bool(np.all(np.diag(d) == 0.0))
         worst = 0.0
         # edges per pass: about 2 MB of gathered rows, which stays in cache
-        block = max(1, (1 << 18) // max(self.n, 1))
+        block = max(1, (1 << 18) // self.n)
         for lo in range(0, len(self.edges), block):
             a, b = self.edges[lo:lo + block].T
             gap = d[a] - d[b]
@@ -118,22 +98,6 @@ class SampledSpace:
         return {"symmetric": sym, "diag_zero": diag,
                 "edge_violation": worst,
                 "ok": sym and diag and worst <= 1e-12 * max(1.0, float(d.max()))}
-
-
-def from_distance_matrix(dist, provenance=None) -> SampledSpace:
-    """Wrap an explicit symmetric distance matrix (points become labels).
-
-    Every pair is stored as an edge weighted by its distance.
-    """
-    d = np.asarray(dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.array_equal(d, d.T) or np.any(np.diag(d) != 0.0):
-        raise ValueError("distance matrix must be symmetric with zero diagonal")
-    iu = np.triu_indices(len(d), k=1)
-    return SampledSpace(radii=None, quats=None, dist=d,
-                        edges=np.stack(iu, axis=1), weights=d[iu],
-                        provenance=provenance or {"kind": "explicit"})
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +114,7 @@ def _orbit_cos_block(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
     return best
 
 
-def _proximity(radii, quats, group, block=512) -> np.ndarray:
+def _proximity(radii, quats, group) -> np.ndarray:
     """Coordinate proximity sqrt(dr^2 + (rbar * angle)^2) used to pick neighbors.
 
     Deliberately metric-independent: paired samples over the same point set
@@ -159,8 +123,8 @@ def _proximity(radii, quats, group, block=512) -> np.ndarray:
     """
     n = len(radii)
     out = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, _PROXIMITY_BLOCK):
+        hi = min(lo + _PROXIMITY_BLOCK, n)
         cosang = np.clip(_orbit_cos_block(quats[lo:hi], quats, group), -1.0, 1.0)
         ang = np.arccos(cosang)
         dr = radii[lo:hi, None] - radii[None, :]
@@ -285,29 +249,31 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
 
 def _graph_space(profile, radii, quats, edges, group, provenance) -> SampledSpace:
     w = weigh(profile, radii, quats, edges, group)
-    prov = dict(provenance or {})
-    prov.setdefault("group", group)
-    prov.setdefault("n", len(radii))
-    prov.setdefault("edges", int(len(edges)))
-    return SampledSpace(radii=radii, quats=quats,
-                        dist=geodesics(len(radii), edges, w),
-                        edges=edges, weights=w, provenance=prov)
+    # the caller's keys keep their place; group, n and edges follow
+    prov = {**(provenance or {}), "group": group, "n": len(radii),
+            "edges": int(len(edges))}
+    return SampledSpace(dist=geodesics(len(radii), edges, w), edges=edges,
+                        weights=w, provenance=prov)
 
 
 def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
-                      k=None, provenance=None) -> SampledSpace:
+                      provenance=None) -> SampledSpace:
     """Build the graph-geodesic metric space on an explicit point set.
 
-    The three stages in order: ``neighbor_graph`` (with ``k``), ``weigh``
-    under ``profile``, ``geodesics``.
+    The three stages in order: ``neighbor_graph``, ``weigh`` under
+    ``profile``, ``geodesics``.
     """
     radii = np.asarray(radii, dtype=float)
     quats = np.asarray(quats, dtype=float)
-    edges = neighbor_graph(radii, quats, group, k=k)
+    edges = neighbor_graph(radii, quats, group)
     return _graph_space(profile, radii, quats, edges, group, provenance)
 
 
-def _draw_points(rng, n, r_in, r_out, group):
+def _draw_points(seed, n, r_in, r_out, group):
+    """n points: stratified radii in [r_in, r_out], uniform (quotient) sphere fibers."""
+    if n < _MIN_SAMPLE:
+        raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
+    rng = np.random.default_rng(seed)
     # stratified radii: one draw per bin of a uniform partition
     u = (np.arange(n) + rng.uniform(size=n)) / n
     radii = r_in + (r_out - r_in) * u
@@ -327,10 +293,7 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
     """
     if not 0 < r_in < r_out:
         raise ValueError("need 0 < r_in < r_out")
-    if n < _MIN_SAMPLE:
-        raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
-    rng = np.random.default_rng(seed)
-    radii, quats = _draw_points(rng, n, r_in, r_out, group)
+    radii, quats = _draw_points(seed, n, r_in, r_out, group)
     return space_from_points(
         profile, radii, quats, group=group,
         provenance={"kind": "annulus", "r_in": r_in, "r_out": r_out,
@@ -342,27 +305,16 @@ def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
     """Fixed-radius sample: the orbit sphere at radius r with its induced metric."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    if n < _MIN_SAMPLE:
-        raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
-    rng = np.random.default_rng(seed)
-    _, quats = _draw_points(rng, n, r, r, group)
-    radii = np.full(n, float(r))
+    # the stratified radii are r + 0 * u, exactly r
+    radii, quats = _draw_points(seed, n, r, r, group)
     return space_from_points(
         profile, radii, quats, group=group,
-        provenance={"kind": "sphere", "r": r, "n": n, "seed": seed,
-                    "group": group})
+        provenance={"kind": "sphere", "r": r, "n": n, "seed": seed, "group": group})
 
 
 def diameter(space: SampledSpace) -> float:
     """Largest pairwise distance of the sample."""
-    if space.n == 0:
-        raise ValueError("empty space has no diameter")
-    if space.n == 1:
-        return 0.0
-    d = float(space.dist.max())
-    if not np.isfinite(d):
-        raise ValueError("space is disconnected")
-    return d
+    return float(space.dist.max())
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +333,7 @@ def gh_upper_bound(s1: SampledSpace, s2: SampledSpace) -> float:
         raise ValueError(f"spaces of {s1.n} and {s2.n} points are not one point set")
     worst = 0.0
     # rows per pass: about 2 MB of differences
-    block = max(1, (1 << 18) // max(s1.n, 1))
+    block = max(1, (1 << 18) // s1.n)
     for lo in range(0, s1.n, block):
         gap = s1.dist[lo:lo + block] - s2.dist[lo:lo + block]
         np.abs(gap, out=gap)
@@ -440,14 +392,11 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         raise ValueError("eps_list must be strictly decreasing")
     if profile.neck_slope is None:
         raise ValueError("profile needs a neck_slope for the cone comparison")
-    if n < _MIN_SAMPLE:
-        raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
 
     cone = cone_profile(profile.neck_slope)
     rows = []
     for idx, eps in enumerate(eps_arr):
-        rng = np.random.default_rng([seed, idx])
-        radii, quats = _draw_points(rng, n, eps, r_outer, "q8")
+        radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
         edges = neighbor_graph(radii, quats, "q8")
         smooth_space = _graph_space(
             profile.rescale(eps), radii, quats, edges, "q8",

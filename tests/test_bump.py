@@ -1,6 +1,7 @@
 """Bump construction, quadrature tables, and profile certification."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,18 +22,34 @@ def table(eta):
     return bump.build_table(eta)
 
 
+def idealized_step_bump(amplitude=32.0, window=(1.0 / 16.0, 3.0 / 16.0)):
+    """Discontinuous box bump; exact closed-form integrals make it a quadrature oracle.
+
+    Not a valid smooth eta (it is not even continuous) and never certified.
+    """
+    a, b = window
+
+    def eta(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= a) & (x <= b), amplitude, 0.0)
+
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    return bump.BumpSpec(eta=eta, eta_prime=zero, segments=(0.0, a, b, 0.25),
+                         mass=amplitude * (b - a))
+
+
 # ---------------------------------------------------------------------------
 # the bump itself
 # ---------------------------------------------------------------------------
 
 def test_eta_invariants(eta):
     xs = np.linspace(-0.1, 0.35, 2001)
-    vals = eta(xs)
+    vals = eta.eta(xs)
     assert np.all(vals >= 0.0)
     assert np.all(vals <= 64.0)
     assert np.all(vals[(xs < 0) | (xs > 0.25)] == 0.0)
     window = np.linspace(1 / 16, 3 / 16, 301)
-    assert np.all(eta(window) >= 16.0)
+    assert np.all(eta.eta(window) >= 16.0)
     tail = np.linspace(1 / 8, 1 / 4, 301)
     assert np.all(eta.eta_prime(tail) <= 1e-12)
 
@@ -48,14 +65,14 @@ def test_eta_mass(eta):
 def test_eta_derivative_is_consistent(eta):
     xs = np.linspace(0.005, 0.245, 97)
     h = 1e-6
-    fd = (eta(xs + h) - eta(xs - h)) / (2 * h)
+    fd = (eta.eta(xs + h) - eta.eta(xs - h)) / (2 * h)
     assert np.abs(fd - eta.eta_prime(xs)).max() < 1e-4
 
 
 def test_eta_plateau_amplitude(eta):
     # mass 4 over effective width 3/16 forces amplitude 64/3; both smooth
     # steps are exactly 1 at the plateau midpoint, so eta equals it there
-    assert eta(0.125) == pytest.approx(64.0 / 3.0, rel=1e-12)
+    assert eta.eta(0.125) == pytest.approx(64.0 / 3.0, rel=1e-12)
 
 
 def test_eta_infeasible_ceiling():
@@ -66,6 +83,12 @@ def test_eta_infeasible_ceiling():
 def test_eta_infeasible_floor():
     with pytest.raises(ConstructionError, match="floor"):
         bump.make_eta(mass=1.0)  # amplitude would undercut the floor
+
+
+def test_mass_claim_message_prints_plain_float(eta):
+    off = replace(eta, mass=np.float64(4.4))
+    with pytest.raises(ConstructionError, match=r"integral = 4\.4, requested 4\.0"):
+        bump._certify_eta(off, 4.0, 64.0, 16.0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +116,13 @@ def test_table_against_adaptive_quadrature(eta, table):
 # ---------------------------------------------------------------------------
 
 def test_step_bump_mass_is_exact():
-    step = bump.idealized_step_bump()
+    step = idealized_step_bump()
     assert step.mass == 4.0  # 32 * 1/8, exactly
 
 
 def test_r1_of_step_bump_is_exact():
     # (1/4) * 32 * int_{1/16}^{3/16} (1/4 - s) ds = (1/4) * 32 * (1/64)
-    step = bump.idealized_step_bump()
+    step = idealized_step_bump()
     assert bump.compute_r1(step) == pytest.approx(0.125, abs=1e-14)
 
 
@@ -123,8 +146,8 @@ def test_r1_floor_bound_across_shapes():
 
 
 def test_r1_degenerate_bump():
-    dead = bump.idealized_step_bump(amplitude=0.0)
-    with pytest.raises(ConstructionError):
+    dead = idealized_step_bump(amplitude=0.0)
+    with pytest.raises(ConstructionError, match=r"r1 = 0\.0 outside \(0, 1/4\)"):
         bump.compute_r1(dead)
 
 

@@ -71,9 +71,3 @@ def test_betti_constraints():
     with pytest.raises(ValueError):
         betti_constraints((1, 0, 0, 0))
 
-
-def test_topological_data_chi_consistency():
-    with pytest.raises(ValueError, match="inconsistent"):
-        TopologicalData(chi=Fraction(2), tau=Fraction(0), betti=(1, 0, 0, 0, 0))
-    data = TopologicalData(chi=Fraction(0), tau=Fraction(0), betti=(1, 0, 0, 1, 0))
-    assert data.betti == (1, 0, 0, 1, 0)

@@ -11,12 +11,11 @@ from scipy.sparse.csgraph import shortest_path
 from conekit import profiles, spaces
 from conekit.quaternions import Q8, qmul, random_unit
 from conekit.spaces import (
+    SampledSpace,
     collapse_experiment,
-    from_distance_matrix,
     geodesics,
     gh_upper_bound,
     neighbor_graph,
-    quotient_dist_round,
     sample_annulus,
     sample_sphere,
     space_from_points,
@@ -40,27 +39,48 @@ def _one_edge(profile, r_a, q_a, r_b, q_b, group="q8"):
     return float(w[0])
 
 
+def _round_edge(q_a, q_b):
+    """Edge length on the unit round quotient sphere."""
+    return _one_edge(profiles.round_profile(), 1.0, q_a, 1.0, q_b)
+
+
+def _quotient_angle(q1, q2):
+    """Closed-form round quotient distance ``arccos(max_g <g q1, q2>)``."""
+    return float(np.arccos(np.clip(np.max(qmul(Q8, q1) @ q2), -1.0, 1.0)))
+
+
+def _complete_space(dist):
+    """A space whose graph stores every pair, weighted by its distance."""
+    d = np.asarray(dist, dtype=float)
+    edges = np.stack(np.triu_indices(len(d), k=1), axis=1)
+    return SampledSpace(dist=d, edges=edges, weights=d[edges[:, 0], edges[:, 1]])
+
+
 # ---------------------------------------------------------------------------
-# quotient distance
+# quotient distance: edge lengths on the round quotient sphere
 # ---------------------------------------------------------------------------
 
 def test_quotient_dist_same_orbit():
-    assert quotient_dist_round(ONE, I_Q) == 0.0
+    # products of these points are exact, so the length is exactly 0; a
+    # generic point's q^-1 q rounds off the identity by about 1e-17
+    assert _round_edge(ONE, I_Q) == 0.0
+    for g in Q8:
+        assert _round_edge(DEEP, qmul(g, DEEP)) == 0.0
     q = _unit_pair(0)[0]
-    assert quotient_dist_round(q, q) == 0.0
+    assert _round_edge(q, q) <= 1e-15
 
 
 def test_quotient_dist_deep_point():
     # all eight lifts of (1+i+j+k)/2 make angle arccos(1/2) with 1
-    assert quotient_dist_round(ONE, DEEP) == pytest.approx(np.pi / 3, abs=1e-14)
+    assert _round_edge(ONE, DEEP) == pytest.approx(np.pi / 3, abs=1e-14)
 
 
 def test_quotient_dist_group_invariance():
     q1, q2 = _unit_pair(1)
-    base = quotient_dist_round(q1, q2)
+    base = _round_edge(q1, q2)
     for g in Q8:
-        assert abs(quotient_dist_round(qmul(g, q1), q2) - base) <= 1e-12
-        assert abs(quotient_dist_round(q1, qmul(g, q2)) - base) <= 1e-12
+        assert abs(_round_edge(qmul(g, q1), q2) - base) <= 1e-12
+        assert abs(_round_edge(q1, qmul(g, q2)) - base) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +97,7 @@ def test_radial_edge_is_exact():
 def test_round_edge_matches_quotient_distance():
     # one direct edge on the unit round sphere is the exact quotient angle
     q1, q2 = _unit_pair(3)
-    length = _one_edge(profiles.round_profile(), 1.0, q1, 1.0, q2)
-    assert length == pytest.approx(quotient_dist_round(q1, q2), abs=1e-12)
+    assert _round_edge(q1, q2) == pytest.approx(_quotient_angle(q1, q2), abs=1e-12)
 
 
 def test_edge_length_matches_metric_eval():
@@ -116,6 +135,16 @@ def test_sample_annulus_validation(lab_profile):
         sample_annulus(lab_profile, 0.5, 1.0, 10, seed=0)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p: sample_annulus(p, 0.5, 1.0, 49, seed=0),
+    lambda p: sample_sphere(p, 1.0, 49, seed=0),
+    lambda p: collapse_experiment(p, (1.0, 0.5), n=49),
+], ids=["annulus", "sphere", "collapse"])
+def test_every_sampler_needs_fifty_points(lab_profile, entry):
+    with pytest.raises(ValueError, match="need at least 50 sample points, got 49"):
+        entry(lab_profile)
+
+
 def test_sampled_space_metric_axioms(lab_profile):
     space = sample_annulus(lab_profile, 1.0, 4.0, 300, seed=7)
     report = space.metric_axioms_report()
@@ -147,11 +176,13 @@ def test_edge_certificate_is_complete():
 
 
 def test_edge_certificate_on_explicit_matrix():
-    bad = from_distance_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+    # on a complete graph weighted by d the certificate is the triangle
+    # inequality over all triples
+    bad = _complete_space([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     report = bad.metric_axioms_report()
     assert report["edge_violation"] == 1.0
     assert not report["ok"]
-    good = from_distance_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    good = _complete_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert good.metric_axioms_report()["ok"]
 
 
@@ -167,13 +198,12 @@ def test_sample_determinism(lab_profile):
 
 def _weighted_graph(kind, lab_profile):
     """(n, edges, weights) of an n=800 q8 annulus or an n=1000 trivial sphere."""
-    rng = np.random.default_rng(6)
     if kind == "annulus":
         profile, group = lab_profile, "q8"
-        radii, quats = spaces._draw_points(rng, 800, 1.0, 4.0, group)
+        radii, quats = spaces._draw_points(6, 800, 1.0, 4.0, group)
     else:
         profile, group = profiles.round_profile(), "trivial"
-        radii, quats = spaces._draw_points(rng, 1000, 1.0, 1.0, group)
+        radii, quats = spaces._draw_points(6, 1000, 1.0, 1.0, group)
     edges = neighbor_graph(radii, quats, group)
     return len(radii), edges, weigh(profile, radii, quats, edges, group)
 
@@ -234,25 +264,17 @@ def test_geodesics_disconnected_graph(monkeypatch, cpus):
 
 
 def test_graph_distance_matches_round_quotient():
-    # dense graph on the round quotient sphere: edges are exact geodesic
-    # lengths, so the sampled distance converges from above
+    # dense graph (k = 128) on the round quotient sphere: edges are exact
+    # geodesic lengths, so the sampled distance converges from above
     q1, q2 = _unit_pair(42)
-    closed = quotient_dist_round(q1, q2)
+    closed = _quotient_angle(q1, q2)
     quats = np.concatenate([[q1, q2], random_unit(np.random.default_rng(5), 1998)])
-    space = space_from_points(profiles.round_profile(), np.ones(2000), quats,
-                              group="q8", k=128)
-    graph = space.dist[0, 1]
+    radii = np.ones(2000)
+    edges = neighbor_graph(radii, quats, "q8", k=128)
+    weights = weigh(profiles.round_profile(), radii, quats, edges, "q8")
+    graph = geodesics(2000, edges, weights)[0, 1]
     assert graph >= closed - 1e-12
     assert abs(graph - closed) <= 0.03 * closed
-
-
-def test_diameter_trivia():
-    single = from_distance_matrix([[0.0]])
-    assert single.diameter() == 0.0
-    two = from_distance_matrix([[0.0, 1.0], [1.0, 0.0]])
-    assert two.diameter() == 1.0
-    with pytest.raises(ValueError):
-        from_distance_matrix(np.zeros((0, 0))).diameter()
 
 
 def test_sample_distances_invariant_under_orbit_relabeling(lab_profile):
@@ -261,11 +283,11 @@ def test_sample_distances_invariant_under_orbit_relabeling(lab_profile):
     rng = np.random.default_rng(13)
     radii = 1.0 + rng.uniform(size=80)
     quats = random_unit(rng, 80)
-    base = space_from_points(lab_profile, radii, quats, group="q8", k=12)
+    base = space_from_points(lab_profile, radii, quats, group="q8")
     relabeled = quats.copy()
     for idx, g_idx in zip((3, 17, 44), (1, 5, 6)):
         relabeled[idx] = qmul(Q8[g_idx], relabeled[idx])
-    moved = space_from_points(lab_profile, radii, relabeled, group="q8", k=12)
+    moved = space_from_points(lab_profile, radii, relabeled, group="q8")
     assert np.abs(moved.dist - base.dist).max() <= 1e-12
 
 
@@ -279,23 +301,24 @@ def test_gh_identity_is_zero(lab_profile):
 
 
 def test_gh_symmetry(lab_profile):
-    a = sample_annulus(lab_profile, 1.0, 3.0, 90, seed=2)
-    b = space_from_points(profiles.cone_profile(0.05), a.radii, a.quats)
+    radii, quats = spaces._draw_points(2, 90, 1.0, 3.0, "q8")
+    a = space_from_points(lab_profile, radii, quats)
+    b = space_from_points(profiles.cone_profile(0.05), radii, quats)
     assert gh_upper_bound(a, b) == gh_upper_bound(b, a)
 
 
 def test_gh_row_blocks_match_whole_matrix():
     # 700 points take two row blocks; the maximum is exact either way
     rng = np.random.default_rng(8)
-    a, b = (from_distance_matrix(np.triu(m, 1) + np.triu(m, 1).T)
+    a, b = (_complete_space(np.triu(m, 1) + np.triu(m, 1).T)
             for m in rng.uniform(size=(2, 700, 700)))
     assert gh_upper_bound(a, b) == 0.5 * np.abs(a.dist - b.dist).max()
 
 
 def test_gh_requires_covering():
     # matching point i with point i covers both sets only when their sizes agree
-    two = from_distance_matrix([[0.0, 1.0], [1.0, 0.0]])
-    one = from_distance_matrix([[0.0]])
+    two = _complete_space([[0.0, 1.0], [1.0, 0.0]])
+    one = _complete_space([[0.0]])
     with pytest.raises(ValueError, match="one point set"):
         gh_upper_bound(two, one)
 
@@ -334,8 +357,7 @@ def test_collapse_shares_one_graph_per_eps(lab_profile):
     result = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
     cone = profiles.cone_profile(lab_profile.neck_slope)
     for idx, row in enumerate(result.rows):
-        rng = np.random.default_rng([3, idx])
-        radii, quats = spaces._draw_points(rng, 120, row.eps, 8.0, "q8")
+        radii, quats = spaces._draw_points([3, idx], 120, row.eps, 8.0, "q8")
         smooth = space_from_points(lab_profile.rescale(row.eps), radii, quats)
         exact = space_from_points(cone, radii, quats)
         gh = gh_upper_bound(smooth, exact)
