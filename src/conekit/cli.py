@@ -118,8 +118,9 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     result = spaces.collapse_experiment(profile, args.eps, n=args.n,
                                         seed=args.seed, r_outer=args.rmax)
     path = os.path.join(args.out, "collapse.csv")
-    _write_csv(path, ["eps", "gh_bound", "diameter"],
-               ([row.eps, row.gh_bound, row.diameter] for row in result.rows),
+    _write_csv(path, ["eps", "gh_bound", "diameter", "stretch_max", "stretch_mean"],
+               ([row.eps, row.gh_bound, row.diameter, row.stretch_max, row.stretch_mean]
+                for row in result.rows),
                note=f"seed {result.seed}")
     if args.format == "json":
         with open(os.path.join(args.out, "collapse.json"), "w") as fh:

@@ -5,7 +5,9 @@ stages: ``neighbor_graph`` picks edges by coordinate proximity, ``weigh``
 gives them first-order Riemannian lengths, and ``geodesics`` completes the
 weighted graph to a metric by all-pairs shortest paths.  The
 quaternion-group quotient is realized by minimizing edge lengths over the
-8 lifts of each endpoint.
+8 lifts of each endpoint.  ``cone_distance`` is the exact distance of the
+metric cone over the round quotient, the ground truth the collapse
+experiment measures the graph against.
 
 The all-pairs shortest paths run on every CPU in the process's affinity
 mask, one forked worker per CPU after the first; ``taskset -c 0 ...``
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .profiles import ProfilePair, cone_profile
+from .profiles import ProfilePair
 from .quaternions import BASIS, Q8, canonical_q8, qconj, qlog_vec, qmul, random_unit
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "sample_sphere",
     "space_from_points",
     "diameter",
+    "cone_distance",
     "gh_upper_bound",
     "CollapseRow",
     "CollapseResult",
@@ -114,6 +117,11 @@ def _orbit_cos_block(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
     return best
 
 
+def _quotient_angles(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
+    """Round quotient angles between fibers, shape (len(qa), len(qb))."""
+    return np.arccos(np.clip(_orbit_cos_block(qa, qb, group), -1.0, 1.0))
+
+
 def _proximity(radii, quats, group) -> np.ndarray:
     """Coordinate proximity sqrt(dr^2 + (rbar * angle)^2) used to pick neighbors.
 
@@ -125,8 +133,7 @@ def _proximity(radii, quats, group) -> np.ndarray:
     out = np.empty((n, n))
     for lo in range(0, n, _PROXIMITY_BLOCK):
         hi = min(lo + _PROXIMITY_BLOCK, n)
-        cosang = np.clip(_orbit_cos_block(quats[lo:hi], quats, group), -1.0, 1.0)
-        ang = np.arccos(cosang)
+        ang = _quotient_angles(quats[lo:hi], quats, group)
         dr = radii[lo:hi, None] - radii[None, :]
         rbar = 0.5 * (radii[lo:hi, None] + radii[None, :])
         out[lo:hi] = np.hypot(dr, rbar * ang)
@@ -247,15 +254,6 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
     return dist
 
 
-def _graph_space(profile, radii, quats, edges, group, provenance) -> SampledSpace:
-    w = weigh(profile, radii, quats, edges, group)
-    # the caller's keys keep their place; group, n and edges follow
-    prov = {**(provenance or {}), "group": group, "n": len(radii),
-            "edges": int(len(edges))}
-    return SampledSpace(dist=geodesics(len(radii), edges, w), edges=edges,
-                        weights=w, provenance=prov)
-
-
 def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
                       provenance=None) -> SampledSpace:
     """Build the graph-geodesic metric space on an explicit point set.
@@ -266,7 +264,12 @@ def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
     radii = np.asarray(radii, dtype=float)
     quats = np.asarray(quats, dtype=float)
     edges = neighbor_graph(radii, quats, group)
-    return _graph_space(profile, radii, quats, edges, group, provenance)
+    w = weigh(profile, radii, quats, edges, group)
+    # the caller's keys keep their place; group, n and edges follow
+    prov = {**(provenance or {}), "group": group, "n": len(radii),
+            "edges": int(len(edges))}
+    return SampledSpace(dist=geodesics(len(radii), edges, w), edges=edges,
+                        weights=w, provenance=prov)
 
 
 def _draw_points(seed, n, r_in, r_out, group):
@@ -318,27 +321,36 @@ def diameter(space: SampledSpace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gromov-Hausdorff upper bounds
+# exact cone distances and Gromov-Hausdorff upper bounds
 # ---------------------------------------------------------------------------
 
-def gh_upper_bound(s1: SampledSpace, s2: SampledSpace) -> float:
-    """Half the largest ``|d1 - d2|`` of two metrics on one point set.
+def cone_distance(u, v, theta, slope: float) -> np.ndarray:
+    """Exact distance in the metric cone ``C(S^3/G, slope^2 round)``.
 
-    Matching point i of ``s1`` with point i of ``s2`` is a correspondence
-    of distortion ``max |d1 - d2|``, and half the distortion of any
-    correspondence bounds the Gromov-Hausdorff distance from above
-    (Burago-Burago-Ivanov, *A Course in Metric Geometry*, 7.3).
+    Points at cone radii u and v whose fibers are the round quotient angle
+    theta apart are ``d^2 = u^2 + v^2 - 2uv cos(min(slope*theta, pi))``
+    apart (the Euclidean cone metric, Burago-Burago-Ivanov 3.6), computed
+    as ``(u - v)^2 + 4uv sin^2(phi/2)`` so near pairs lose nothing to
+    cancellation.  The arguments broadcast.
     """
-    if s1.n != s2.n:
-        raise ValueError(f"spaces of {s1.n} and {s2.n} points are not one point set")
-    worst = 0.0
-    # rows per pass: about 2 MB of differences
-    block = max(1, (1 << 18) // s1.n)
-    for lo in range(0, s1.n, block):
-        gap = s1.dist[lo:lo + block] - s2.dist[lo:lo + block]
-        np.abs(gap, out=gap)
-        worst = max(worst, float(gap.max()))
-    return 0.5 * worst
+    half = 0.5 * np.minimum(slope * np.asarray(theta), np.pi)
+    return np.sqrt((u - v) ** 2 + 4.0 * u * v * np.sin(half) ** 2)
+
+
+def gh_upper_bound(d1: np.ndarray, d2: np.ndarray) -> float:
+    """Half the largest ``|d1 - d2|`` of two distance matrices on one point set.
+
+    Matching point i of one space with point i of the other is a
+    correspondence of distortion ``max |d1 - d2|``, and half the distortion
+    of any correspondence bounds the Gromov-Hausdorff distance from above
+    (Burago-Burago-Ivanov, *A Course in Metric Geometry*, 7.3).  Given the
+    same block of rows of both matrices it returns that block's share, and
+    the bound is the largest share.
+    """
+    if d1.shape != d2.shape:
+        raise ValueError(f"distance matrices of shapes {d1.shape} and {d2.shape} "
+                         "are not on one point set")
+    return 0.5 * float(np.abs(d1 - d2).max())
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +362,8 @@ class CollapseRow:
     eps: float
     gh_bound: float
     diameter: float
+    stretch_max: float
+    stretch_mean: float
 
 
 @dataclass(frozen=True)
@@ -368,20 +382,51 @@ class CollapseResult:
         return max(ds) / min(ds)
 
 
+def _tail_margins(ra, rb, shift, theta, dist, slope, start) -> tuple[float, float]:
+    """How far the closed form clears the two tail premises on a block of pairs.
+
+    On the tail ``r >= start`` the smooth metric is the cone with cone
+    radius ``u = r + shift``, and ``dist`` is that cone's distance between
+    radii ``ra`` (a column) and ``rb`` (a row).  It is the smooth metric's
+    distance when no pair is farther apart than ``(r_a - start) + (r_b -
+    start)``, the radial length of any path that enters the core, and when
+    each cone chord keeps its closest approach to the apex at ``u >= start
+    + shift``, so the chord runs in the tail.  Returns the smallest slack of
+    each, ``(core, apex)``; both are >= 0 when the premise holds.
+    """
+    core = float(((ra - start) + (rb - start) - dist).min())
+    ua, ub = ra + shift, rb + shift
+    phi = np.minimum(slope * theta, np.pi)
+    cos = np.cos(phi)
+    # the foot of the apex's perpendicular lies on the chord when neither
+    # endpoint angle is obtuse; otherwise the nearer endpoint is closest
+    inside = (ua > ub * cos) & (ub > ua * cos)
+    closest = np.minimum(ua, ub)
+    np.divide(ua * ub * np.sin(phi), dist, out=closest, where=inside)
+    return core, float(closest.min() - (start + shift))
+
+
 def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
                         n: int = 800, seed: int = 0, *,
                         r_outer: float = 8.0) -> CollapseResult:
     """Exhibit the collapse of the rescaled metrics onto the exact cone.
 
-    For each scale eps the metric ``eps^2 g`` is realized by the rescaled
-    profile on the outer annulus [eps, r_outer] (entirely inside the
-    exactly-conical tail for the default parameters) and sampled over a
-    point set shared with a sample of the exact cone over the round
-    quotient link at slope ``profile.neck_slope``; ``gh_upper_bound``
-    compares the two metrics on the shared points.  Because the two spaces
-    also share one proximity graph, graph noise largely cancels and the
-    bound tracks the genuine metric discrepancy, which shrinks linearly in
-    eps.
+    For each scale eps the metric ``eps^2 g`` is compared with the exact
+    cone over the round quotient link at slope ``c = profile.neck_slope`` on
+    a sample of the annulus [eps, r_outer].  Beyond the tail start
+    ``eps*(r1 + 1/4)`` the build certifies ``phi = 1`` and
+    ``rho_eps(r) = c*r + eps*b``, so there ``eps^2 g`` is the same cone with
+    its apex shifted by ``eps*b/c``.  When ``_tail_margins`` shows that no
+    pair's geodesic leaves the tail, both metrics are closed forms of one
+    quotient-angle matrix, and ``gh_bound`` is ``gh_upper_bound`` of the
+    two, which shrinks linearly in eps; otherwise ValueError names eps and
+    the margins.
+
+    The graph-geodesic space of ``eps^2 g`` on the same points is the thing
+    under test: each row reports its diameter and its stretch
+    ``d_graph / d_exact`` (max and mean over ordered pairs of distinct
+    points).  The closed forms are evaluated a block of rows at a time, so
+    the graph's distance matrix is the only full one held.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -390,21 +435,47 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         raise ValueError("eps values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if profile.neck_slope is None:
-        raise ValueError("profile needs a neck_slope for the cone comparison")
+    if profile.neck_slope is None or profile.r1 is None:
+        raise ValueError("profile needs a neck_slope and r1 for the cone comparison")
 
-    cone = cone_profile(profile.neck_slope)
+    slope = profile.neck_slope
+    tail = profile.r1 + 0.25
+    offset = float(profile.rho(tail)) - slope * tail  # b in rho = c*r + b on the tail
     rows = []
     for idx, eps in enumerate(eps_arr):
         radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
-        edges = neighbor_graph(radii, quats, "q8")
-        smooth_space = _graph_space(
-            profile.rescale(eps), radii, quats, edges, "q8",
-            {"kind": "collapse-smooth", "eps": eps, "seed": seed})
-        cone_space = _graph_space(
-            cone, radii, quats, edges, "q8",
-            {"kind": "collapse-cone", "eps": eps, "seed": seed})
-        gh = gh_upper_bound(smooth_space, cone_space)
-        rows.append(CollapseRow(eps=eps, gh_bound=gh,
-                                diameter=smooth_space.diameter()))
+        graph = space_from_points(
+            profile.rescale(eps), radii, quats, group="q8",
+            provenance={"kind": "collapse-smooth", "eps": eps, "seed": seed})
+        shift = eps * offset / slope
+        u = radii + shift  # cone radii of eps^2 g on the tail
+        gh = stretch_max = stretch_sum = 0.0
+        core = apex = np.inf
+        # rows per pass: about 512 KB per temporary
+        block = max(1, (1 << 16) // n)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            theta = _quotient_angles(quats[lo:hi], quats, "q8")
+            theta[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
+            ra = radii[lo:hi, None]
+            cone = cone_distance(ra, radii, theta, slope)
+            smooth = cone_distance(u[lo:hi, None], u, theta, slope)
+            block_core, block_apex = _tail_margins(ra, radii, shift, theta, smooth,
+                                                   slope, eps * tail)
+            core, apex = min(core, block_core), min(apex, block_apex)
+            gh = max(gh, gh_upper_bound(smooth, cone))
+            # the diagonal, where both distances are 0, counts as 0
+            stretch = np.divide(graph.dist[lo:hi], smooth, out=np.zeros_like(smooth),
+                                where=smooth > 0)
+            stretch_max = max(stretch_max, float(stretch.max()))
+            stretch_sum += float(stretch.sum())
+        if core < 0 or apex < 0:
+            raise ValueError(
+                f"tail premise fails at eps = {eps}: core-detour margin "
+                f"{core / eps:.3g}*eps, closest-approach margin {apex / eps:.3g}*eps "
+                "(both must be >= 0 for the closed-form cone distance to be the "
+                "smooth metric's)")
+        rows.append(CollapseRow(eps=eps, gh_bound=gh, diameter=graph.diameter(),
+                                stretch_max=stretch_max,
+                                stretch_mean=stretch_sum / (n * (n - 1))))
     return CollapseResult(rows=tuple(rows), seed=seed, n=n)

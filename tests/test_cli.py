@@ -225,8 +225,32 @@ def test_collapse_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gh_bound column" in out
     lines = (tmp_path / "collapse.csv").read_text().splitlines()
-    assert lines[1] == "eps,gh_bound,diameter"
+    assert lines[1] == "eps,gh_bound,diameter,stretch_max,stretch_mean"
     assert len(lines) == 4
+
+
+def test_collapse_json_rows(tmp_path):
+    code = main(["collapse", "--out", str(tmp_path), "--eps", "1,0.5",
+                 "--n", "120", "--seed", "3", "--format", "json"])
+    assert code == 0
+    doc = json.loads((tmp_path / "collapse.json").read_text())
+    assert (doc["seed"], doc["n"]) == (3, 120)
+    with open(tmp_path / "collapse.csv", newline="") as fh:
+        table = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [list(row) for row in doc["rows"]] == [list(table[0])] * 2
+    for row, line in zip(doc["rows"], table):
+        assert row == {key: float(value) for key, value in line.items()}
+        assert 1.0 <= row["stretch_mean"] <= row["stretch_max"]
+
+
+def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
+    # the premise is checked on the drawn pairs: at slope 0.5 and seed 1 the
+    # farthest pairs at eps = 1 are shorter through the core (margin -0.09 eps)
+    code = main(["collapse", "--out", str(tmp_path), "--neck-slope", "0.5",
+                 "--seed", "1"])
+    assert code == 2
+    assert "tail premise fails at eps = 1.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_collapse_single_eps(tmp_path):

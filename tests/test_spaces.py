@@ -8,11 +8,12 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from conekit import profiles, spaces
+from conekit import bump, profiles, spaces
 from conekit.quaternions import Q8, qmul, random_unit
 from conekit.spaces import (
     SampledSpace,
     collapse_experiment,
+    cone_distance,
     geodesics,
     gh_upper_bound,
     neighbor_graph,
@@ -297,30 +298,71 @@ def test_sample_distances_invariant_under_orbit_relabeling(lab_profile):
 
 def test_gh_identity_is_zero(lab_profile):
     space = sample_annulus(lab_profile, 1.0, 3.0, 80, seed=1)
-    assert gh_upper_bound(space, space) == 0.0
+    assert gh_upper_bound(space.dist, space.dist) == 0.0
 
 
 def test_gh_symmetry(lab_profile):
     radii, quats = spaces._draw_points(2, 90, 1.0, 3.0, "q8")
-    a = space_from_points(lab_profile, radii, quats)
-    b = space_from_points(profiles.cone_profile(0.05), radii, quats)
+    a = space_from_points(lab_profile, radii, quats).dist
+    b = space_from_points(profiles.cone_profile(0.05), radii, quats).dist
     assert gh_upper_bound(a, b) == gh_upper_bound(b, a)
 
 
 def test_gh_row_blocks_match_whole_matrix():
-    # 700 points take two row blocks; the maximum is exact either way
+    # the largest share over matching row blocks is the whole-matrix bound
     rng = np.random.default_rng(8)
-    a, b = (_complete_space(np.triu(m, 1) + np.triu(m, 1).T)
-            for m in rng.uniform(size=(2, 700, 700)))
-    assert gh_upper_bound(a, b) == 0.5 * np.abs(a.dist - b.dist).max()
+    a, b = (np.triu(m, 1) + np.triu(m, 1).T for m in rng.uniform(size=(2, 700, 700)))
+    shares = [gh_upper_bound(a[lo:lo + 81], b[lo:lo + 81]) for lo in range(0, 700, 81)]
+    assert max(shares) == gh_upper_bound(a, b) == 0.5 * np.abs(a - b).max()
 
 
 def test_gh_requires_covering():
     # matching point i with point i covers both sets only when their sizes agree
-    two = _complete_space([[0.0, 1.0], [1.0, 0.0]])
-    one = _complete_space([[0.0]])
     with pytest.raises(ValueError, match="one point set"):
-        gh_upper_bound(two, one)
+        gh_upper_bound(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# exact cone distances
+# ---------------------------------------------------------------------------
+
+def _lifted_distance(u, qa, v, qb, lifts):
+    """min over lifts g of the Euclidean distance |u qa - v g qb| in R^4."""
+    return min(float(np.linalg.norm(u * qa - v * qmul(g, qb))) for g in lifts)
+
+
+def test_cone_slope_one_trivial_group_is_euclidean():
+    # C(S^3, round) is R^4: the point at cone radius u over fiber q is u*q
+    rng = np.random.default_rng(30)
+    quats = random_unit(rng, 40)
+    radii = rng.uniform(0.2, 8.0, size=40)
+    theta = spaces._quotient_angles(quats, quats, "trivial")
+    got = cone_distance(radii[:, None], radii[None, :], theta, 1.0)
+    want = np.linalg.norm(radii[:, None, None] * quats[:, None, :]
+                          - radii[None, :, None] * quats[None, :, :], axis=2)
+    off = ~np.eye(40, dtype=bool)
+    assert np.abs(got - want)[off].max() <= 1e-12
+
+
+def test_cone_slope_one_q8_is_nearest_lift():
+    # C(S^3/Q8, round) is R^4/Q8: the distance is the nearest of the 8 lifts
+    rng = np.random.default_rng(31)
+    quats = random_unit(rng, 30)
+    radii = rng.uniform(0.2, 8.0, size=30)
+    theta = spaces._quotient_angles(quats, quats, "q8")
+    got = cone_distance(radii[:, None], radii[None, :], theta, 1.0)
+    for a in range(30):
+        for b in range(a + 1, 30):
+            want = _lifted_distance(radii[a], quats[a], radii[b], quats[b], Q8)
+            assert abs(got[a, b] - want) <= 1e-12
+
+
+def test_cone_past_pi_goes_through_the_apex():
+    # slope 2 at theta = pi/2 opens the link angle to pi: the geodesic runs
+    # through the apex, u + v long
+    for u, v in ((1.0, 2.5), (0.3, 7.0), (4.0, 4.0)):
+        assert cone_distance(u, v, np.pi / 2, 2.0) == pytest.approx(u + v, abs=1e-12)
+        assert cone_distance(u, v, 1.4, 3.0) == pytest.approx(u + v, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +378,8 @@ def test_collapse_validation(lab_profile):
         collapse_experiment(lab_profile, (2.0, 1.0), n=100)
     with pytest.raises(ValueError):
         collapse_experiment(profiles.round_profile(), (1.0, 0.5), n=100)
+    with pytest.raises(ValueError, match="r1"):
+        collapse_experiment(profiles.cone_profile(0.05), (1.0, 0.5), n=100)
 
 
 def test_collapse_single_eps(lab_profile):
@@ -352,13 +396,52 @@ def test_collapse_small(lab_profile):
     assert result.diameter_ratio() <= 1.25
 
 
+def _tail_offset(profile):
+    """b in rho = c*r + b on the tail, read off the profile itself."""
+    t = profile.r1 + 1.0
+    return float(profile.rho(t)) - profile.neck_slope * t
+
+
 def test_collapse_shares_one_graph_per_eps(lab_profile):
-    # rows equal two independently built spaces on the same draws
+    # each row is an independently built smooth graph space measured against
+    # the closed-form cone, with and without the apex shift eps*b/c
+    c = lab_profile.neck_slope
     result = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
-    cone = profiles.cone_profile(lab_profile.neck_slope)
     for idx, row in enumerate(result.rows):
         radii, quats = spaces._draw_points([3, idx], 120, row.eps, 8.0, "q8")
-        smooth = space_from_points(lab_profile.rescale(row.eps), radii, quats)
-        exact = space_from_points(cone, radii, quats)
-        gh = gh_upper_bound(smooth, exact)
-        assert (row.gh_bound, row.diameter) == (gh, smooth.diameter())
+        graph = space_from_points(lab_profile.rescale(row.eps), radii, quats)
+        shift = row.eps * _tail_offset(lab_profile) / c
+        cone = np.zeros((120, 120))
+        smooth = np.zeros((120, 120))
+        for a in range(120):
+            for b in range(a + 1, 120):
+                theta = _quotient_angle(quats[a], quats[b])
+                cone[a, b] = cone[b, a] = cone_distance(radii[a], radii[b], theta, c)
+                smooth[a, b] = smooth[b, a] = cone_distance(
+                    radii[a] + shift, radii[b] + shift, theta, c)
+        off = ~np.eye(120, dtype=bool)
+        stretch = graph.dist[off] / smooth[off]
+        assert row.diameter == graph.diameter()
+        assert row.gh_bound == pytest.approx(0.5 * np.abs(smooth - cone).max(), abs=1e-12)
+        assert row.stretch_max == pytest.approx(stretch.max(), rel=1e-12)
+        assert row.stretch_mean == pytest.approx(stretch.mean(), rel=1e-12)
+        assert row.stretch_mean >= 1.0
+
+
+def test_collapse_gh_within_analytic_bound(lab_profile):
+    # shifting both cone radii by s moves d by at most 2 s sin(phi/2), and
+    # the Q8 quotient diameter is pi/3, so gh <= eps (b/c) sin(c pi/6)
+    c = lab_profile.neck_slope
+    bound = _tail_offset(lab_profile) / c * np.sin(c * np.pi / 6)
+    assert bound == pytest.approx(0.5170, abs=1e-4)
+    result = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=150, seed=1)
+    for row in result.rows:
+        assert 0.0 < row.gh_bound <= row.eps * bound
+
+
+def test_collapse_tail_premise_fails_at_steep_slope():
+    # at c = 0.5 the farthest pairs at eps = 1 are closer through the core
+    # than along the cone chord, so the closed form is not the smooth metric
+    with pytest.raises(ValueError, match=r"tail premise fails at eps = 1\.0: "
+                                         r"core-detour margin -0\.0"):
+        collapse_experiment(bump.build_profile(0.5), n=800, seed=1)
