@@ -13,6 +13,13 @@ The all-pairs shortest paths run on every CPU in the process's affinity
 mask, one forked worker per CPU after the first; ``taskset -c 0 ...``
 restricts them to one CPU, where nothing is forked.  The distances do not
 depend on the number of CPUs.
+
+Memory: a space of n points holds one n x n float64 distance matrix, 8n^2
+bytes, and no other n x n array is made while building or checking it.
+Proximity, the neighbor pick and the shortest-path searches run a block of
+rows at a time, and the distance rows are symmetrized in place.  The
+matrix lives in a shared anonymous map, so the forked workers of later
+spaces see it but never write to it.
 """
 
 from __future__ import annotations
@@ -46,7 +53,17 @@ __all__ = [
 ]
 
 _MIN_SAMPLE = 50
-_PROXIMITY_BLOCK = 512  # proximity rows per pass
+_TILE = 256  # tile side of the in-place passes over a distance matrix: 512 KB
+
+
+def _tiles(n: int):
+    """Square tiles ``(rows, cols)`` of an n x n matrix on and above the diagonal.
+
+    Each tile and its mirror ``(cols, rows)`` cover every entry once.
+    """
+    for lo in range(0, n, _TILE):
+        for col in range(lo, n, _TILE):
+            yield slice(lo, lo + _TILE), slice(col, col + _TILE)
 
 
 @dataclass
@@ -55,7 +72,10 @@ class SampledSpace:
     its sampling provenance.
 
     ``dist`` is a full symmetric matrix of graph-geodesic distances over the
-    undirected ``edges`` (pairs ``i < j``) with lengths ``weights``.
+    undirected ``edges`` (pairs ``i < j``) with lengths ``weights``.  It is
+    the space's one n x n array, 8n^2 bytes; as ``geodesics`` returns it, it
+    is backed by a shared anonymous map, which forked workers of later
+    spaces see but never write.
     """
 
     dist: np.ndarray
@@ -84,17 +104,25 @@ class SampledSpace:
         paths (as Dijkstra returns), walking any path from s to t edge by
         edge gives ``d[s,t] <=`` its length (up to the tolerance per hop), so
         d is the shortest-path metric of the graph and the triangle
-        inequality holds for every triple.
+        inequality holds for every triple.  Symmetry is compared one pair of
+        mirrored tiles at a time, so the check makes no n x n array.
         """
         d = self.dist
-        sym = bool(np.array_equal(d, d.T))
+        sym = all(np.array_equal(d[r, c], d[c, r].T) for r, c in _tiles(self.n))
         diag = bool(np.all(np.diag(d) == 0.0))
         worst = 0.0
-        # edges per pass: about 2 MB of gathered rows, which stays in cache
+        # edges per pass: about 2 MB of gathered rows, which stays in cache;
+        # the passes reuse two buffers, so none of them allocates
         block = max(1, (1 << 18) // self.n)
+        near, far = np.empty((2, block, self.n))
         for lo in range(0, len(self.edges), block):
             a, b = self.edges[lo:lo + block].T
-            gap = d[a] - d[b]
+            gap, other = near[:len(a)], far[:len(a)]
+            # edges index the matrix, so clipping never acts; mode "raise"
+            # would copy ``out``
+            np.take(d, a, axis=0, out=gap, mode="clip")
+            np.take(d, b, axis=0, out=other, mode="clip")
+            np.subtract(gap, other, out=gap)
             np.abs(gap, out=gap)
             slack = gap.max(axis=1) - self.weights[lo:lo + block]
             worst = max(worst, float(slack.max()))
@@ -122,56 +150,68 @@ def _quotient_angles(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
     return np.arccos(np.clip(_orbit_cos_block(qa, qb, group), -1.0, 1.0))
 
 
-def _proximity(radii, quats, group) -> np.ndarray:
-    """Coordinate proximity sqrt(dr^2 + (rbar * angle)^2) used to pick neighbors.
+def _proximity(radii, quats, group, rows: slice) -> np.ndarray:
+    """Coordinate proximity sqrt(dr^2 + (rbar * angle)^2) from the points
+    ``rows`` to every point, shape (len(rows), n), used to pick neighbors.
 
-    Deliberately metric-independent: paired samples over the same point set
-    get identical graphs regardless of which warped metric weights the
-    edges.
+    The angle is the round quotient angle, so the measure ignores the
+    c-shrink of the link that the collapse metric applies; picking by the
+    metric's own length is the ROADMAP's faithful-graph item.
     """
-    n = len(radii)
-    out = np.empty((n, n))
-    for lo in range(0, n, _PROXIMITY_BLOCK):
-        hi = min(lo + _PROXIMITY_BLOCK, n)
-        ang = _quotient_angles(quats[lo:hi], quats, group)
-        dr = radii[lo:hi, None] - radii[None, :]
-        rbar = 0.5 * (radii[lo:hi, None] + radii[None, :])
-        out[lo:hi] = np.hypot(dr, rbar * ang)
-    return out
+    ang = _quotient_angles(quats[rows], quats, group)
+    dr = radii[rows, None] - radii[None, :]
+    rbar = 0.5 * (radii[rows, None] + radii[None, :])
+    return np.hypot(dr, rbar * ang)
 
 
 def _default_k(n: int) -> int:
-    # dense enough that graph-geodesic stretch stays in the low percents
+    # grows like n^(1/4); at n = 800 (k = 19, seed 1) collapse.csv measures
+    # a mean graph stretch of 1.09-1.13, and its worst pair 3.8-6.4x too long
     return max(10, int(np.ceil(3.5 * n ** 0.25)))
+
+
+def _nearest(radii, quats, group, kk: int) -> np.ndarray:
+    """The kk proximity-nearest other points of each point, shape (n, kk).
+
+    Proximity is computed one block of rows at a time and only the picked
+    indices are kept, so no n x n array is held.
+    """
+    n = len(radii)
+    nbr = np.empty((n, kk), dtype=np.intp)
+    # rows per pass: about 2 MB per temporary
+    block = max(1, (1 << 18) // n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        prox = _proximity(radii, quats, group, slice(lo, hi))
+        prox[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # no self-edges
+        nbr[lo:hi] = np.argpartition(prox, kk - 1, axis=1)[:, :kk]
+    return nbr
 
 
 def neighbor_graph(radii, quats, group, k=None) -> np.ndarray:
     """Stage 1: proximity edges, as sorted unique pairs ``i < j``.
 
     Neighbors come from coordinate proximity: the k nearest per point,
-    with k grown until the graph connects.
+    with k grown until the graph connects.  At k = n - 1 the graph is
+    complete, so the growth ends.
     """
     n = len(radii)
     if n < 2:
         raise ValueError("need at least two points")
-    prox = _proximity(radii, quats, group)
-    np.fill_diagonal(prox, np.inf)
     k = k or _default_k(n)
     while True:
         kk = min(k, n - 1)
-        nbr = np.argpartition(prox, kk - 1, axis=1)[:, :kk]
+        nbr = _nearest(radii, quats, group, kk)
         ii = np.repeat(np.arange(n), kk)
         jj = nbr.ravel()
-        a = np.minimum(ii, jj)
-        b = np.maximum(ii, jj)
-        edges = np.unique(np.stack([a, b], axis=1), axis=0)
+        # the keys a*n + b of the pairs a < b sort as the pairs do
+        keys = np.unique(np.minimum(ii, jj) * n + np.maximum(ii, jj))
+        edges = np.stack([keys // n, keys % n], axis=1)
         adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                          shape=(n, n))
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp == 1:
             return edges
-        if kk == n - 1:
-            raise ValueError("proximity graph disconnected at k = n-1")
         k = int(np.ceil(k * 1.5)) + 1
 
 
@@ -207,7 +247,10 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
     writes its rows into a shared anonymous map; the caller runs the first
     block and then reaps every child, raising if any of them failed.  With
     one CPU the same loop forks nothing.  Each row is a single-source
-    Dijkstra run, so the result does not depend on the split.
+    Dijkstra run, so the result does not depend on the split.  Each block
+    is searched a few rows at a time, written straight into the map, and the
+    rows are then made exactly symmetric tile by tile inside it; the
+    map-backed array is returned.
     """
     graph = csr_matrix(
         (np.concatenate([weights, weights]),
@@ -223,9 +266,13 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
 
     def fill(lo, hi):
         # the graph stores both directions, so the directed search is exact
-        # and skips scipy's own symmetrization
-        rows[lo:hi] = shortest_path(graph, method="D", directed=True,
-                                    indices=np.arange(lo, hi))
+        # and skips scipy's own symmetrization; sources per call: about 2 MB
+        # of result rows, so no n x n result is made on any number of CPUs
+        step = max(1, (1 << 18) // n)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            rows[start:stop] = shortest_path(graph, method="D", directed=True,
+                                             indices=np.arange(start, stop))
 
     children = {}
     try:
@@ -247,11 +294,17 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
                   if os.waitpid(pid, 0)[1] != 0]
         if failed:
             raise RuntimeError(f"shortest-path worker failed on row blocks {failed}")
-    dist = np.minimum(rows, rows.T)  # exact symmetry
-    np.fill_diagonal(dist, 0.0)
-    if np.any(np.isinf(dist)):
+    # exact symmetry, made in place: the map is the only n x n array
+    farthest = 0.0
+    for r, c in _tiles(n):
+        a, b = rows[r, c], rows[c, r]
+        np.minimum(a, b.T, out=a)
+        b[...] = a.T
+        farthest = max(farthest, float(a.max()))
+    np.fill_diagonal(rows, 0.0)
+    if farthest == np.inf:
         raise ValueError("graph disconnected after weighting")
-    return dist
+    return rows
 
 
 def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
@@ -478,4 +531,5 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         rows.append(CollapseRow(eps=eps, gh_bound=gh, diameter=graph.diameter(),
                                 stretch_max=stretch_max,
                                 stretch_mean=stretch_sum / (n * (n - 1))))
+        del graph  # free this matrix before the next eps builds its own
     return CollapseResult(rows=tuple(rows), seed=seed, n=n)

@@ -1,12 +1,13 @@
 """Metric-space sampling, GH bounds, and the collapse experiment."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from conekit import bump, profiles, spaces
 from conekit.quaternions import Q8, qmul, random_unit
@@ -194,6 +195,97 @@ def test_sample_determinism(lab_profile):
 
 
 # ---------------------------------------------------------------------------
+# the blocked neighbor pick and the one-matrix memory model
+# ---------------------------------------------------------------------------
+
+def _whole_matrix_edges(radii, quats, group):
+    """Reference kNN edges from the full proximity matrix; (edges, attempts).
+
+    Builds the n x n proximity at once, partitions every row of it, and
+    removes duplicate pairs with a row-wise 2-D unique, growing k as
+    ``neighbor_graph`` does until the graph connects.
+    """
+    n = len(radii)
+    ang = np.arccos(np.clip(spaces._orbit_cos_block(quats, quats, group), -1.0, 1.0))
+    prox = np.hypot(radii[:, None] - radii[None, :],
+                    0.5 * (radii[:, None] + radii[None, :]) * ang)
+    np.fill_diagonal(prox, np.inf)
+    k = spaces._default_k(n)
+    attempts = 0
+    while True:
+        attempts += 1
+        kk = min(k, n - 1)
+        nbr = np.argpartition(prox, kk - 1, axis=1)[:, :kk]
+        ii = np.repeat(np.arange(n), kk)
+        jj = nbr.ravel()
+        edges = np.unique(np.stack([np.minimum(ii, jj), np.maximum(ii, jj)], axis=1),
+                          axis=0)
+        adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                         shape=(n, n))
+        if connected_components(adj, directed=False)[0] == 1:
+            return edges, attempts
+        k = int(np.ceil(k * 1.5)) + 1
+
+
+def _two_clusters():
+    """600 shuffled q8 points: 560 at radii in [1, 2] and 40 at radii in [6, 7].
+
+    Fibers lie within about 0.02 rad of 1, so every within-cluster proximity
+    is below 1.2 and every cross-cluster one above 4: the default k = 18
+    links only within clusters, and the graph connects once k reaches 40.
+    """
+    rng = np.random.default_rng(17)
+    radii = np.concatenate([rng.uniform(1.0, 2.0, 560), rng.uniform(6.0, 7.0, 40)])
+    quats = ONE + 0.01 * rng.standard_normal((600, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    order = rng.permutation(600)
+    return radii[order], quats[order], "q8"
+
+
+@pytest.mark.parametrize("kind, attempts", [
+    ("annulus", 1), ("sphere", 1), ("clusters", 3)])
+def test_blocked_neighbor_graph_matches_whole_matrix(monkeypatch, kind, attempts):
+    # n = 600 puts a row-block boundary at row 436, mid-array; the clusters
+    # are disconnected at the default k, so k grows 18 -> 28 -> 43
+    if kind == "clusters":
+        radii, quats, group = _two_clusters()
+    else:
+        group = "q8" if kind == "annulus" else "trivial"
+        r_out = 4.0 if kind == "annulus" else 1.0
+        radii, quats = spaces._draw_points(9, 600, 1.0, r_out, group)
+    calls = []
+    real = spaces.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spaces, "connected_components", counting)
+    expect, expect_attempts = _whole_matrix_edges(radii, quats, group)
+    assert expect_attempts == attempts
+    edges = neighbor_graph(radii, quats, group)
+    assert edges.dtype == expect.dtype
+    assert np.array_equal(edges, expect)
+    assert len(calls) == attempts
+
+
+def test_space_holds_one_distance_matrix():
+    # the distance matrix lives in a shared map, which tracemalloc does not
+    # see; everything numpy allocates besides it must stay below one more
+    # n x n float64 array, whatever the number of CPUs
+    n = 2000
+    radii, quats = spaces._draw_points(0, n, 1.0, 1.0, "trivial")
+    tracemalloc.start()
+    try:
+        space = space_from_points(profiles.round_profile(), radii, quats,
+                                  group="trivial")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dist.shape == (n, n)
+    assert peak < 8 * n * n, f"traced peak {peak / (8 * n * n):.2f} x 8n^2 bytes"
+
+
+# ---------------------------------------------------------------------------
 # all-pairs shortest paths split across processes
 # ---------------------------------------------------------------------------
 
@@ -245,7 +337,9 @@ def test_geodesics_worker_failure_raises_and_reaps(monkeypatch, lab_profile, fai
     real = spaces.shortest_path
 
     def flaky(graph, *args, indices, **kwargs):
-        if (indices[0] == 0) == (failing == "caller"):
+        # the caller's block is the first third of the rows, searched in
+        # several calls; the children's blocks are the rest
+        if (indices[0] < n // 3) == (failing == "caller"):
             raise MemoryError("injected")
         return real(graph, *args, indices=indices, **kwargs)
     monkeypatch.setattr(spaces, "shortest_path", flaky)
