@@ -125,14 +125,26 @@ class BumpSpec:
 _gl_rule = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def _gl(f, a, x, order):
-    """Gauss-Legendre integral of f over [a, x], elementwise for arrays a, x."""
+def _gl(f, a, x, order, where=None):
+    """Gauss-Legendre integral of f over [a, x], elementwise for arrays a, x.
+
+    With a boolean mask ``where`` of x's shape, f is evaluated only at the
+    nodes of the masked points, ``f(nodes[where])``, and the other points
+    integrate to 0.  The weighted sum still runs over the full shape: BLAS
+    rounds a row of a matrix-vector product differently depending on where
+    in the matrix it sits, so each masked point keeps its place and its bits.
+    """
     xs, w = _gl_rule(order)
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     half = 0.5 * (x - a)
     nodes = 0.5 * (a + x)[..., None] + half[..., None] * xs
-    return half * np.dot(f(nodes), w)
+    if where is None:
+        values = f(nodes)
+    else:
+        values = np.zeros_like(nodes)
+        values[where] = f(nodes[where])
+    return half * np.dot(values, w)
 
 
 def _segment_quad(f, segments):
@@ -252,12 +264,17 @@ class QuadratureTable:
                       0, len(self.grid) - 2)
         return xc, idx
 
+    def _inside(self, x):
+        """Where x lies strictly inside the grid (or is NaN): the points whose
+        value needs a partial panel; ``np.where`` sets every other one."""
+        return ~((x <= self.grid[0]) | (x >= self.grid[-1]))
+
     def antiderivative(self, x):
         """E(x) = int_0^x eta, for any real x (vectorized)."""
         x = np.asarray(x, dtype=float)
         xc, idx = self._locate(x)
         base = self.first_antiderivative[idx]
-        part = _gl(self.bump.eta, self.grid[idx], xc, self.order)
+        part = _gl(self.bump.eta, self.grid[idx], xc, self.order, self._inside(x))
         out = base + part
         out = np.where(x <= self.grid[0], 0.0, out)
         out = np.where(x >= self.grid[-1], self.mass, out)
@@ -270,8 +287,9 @@ class QuadratureTable:
         a = self.grid[idx]
         base = (self.second_antiderivative[idx]
                 + self.first_antiderivative[idx] * (xc - a))
-        part = _gl(lambda s: (np.expand_dims(xc, -1) - s) * self.bump.eta(s),
-                   a, xc, self.order)
+        inside = self._inside(x)
+        top = xc[inside][:, None]  # the upper limit of each evaluated panel
+        part = _gl(lambda s: (top - s) * self.bump.eta(s), a, xc, self.order, inside)
         out = base + part
         lo, hi = self.grid[0], self.grid[-1]
         end = float(self.second_antiderivative[-1])

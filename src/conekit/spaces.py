@@ -9,17 +9,22 @@ quaternion-group quotient is realized by minimizing edge lengths over the
 metric cone over the round quotient, the ground truth the collapse
 experiment measures the graph against.
 
-The all-pairs shortest paths run on every CPU in the process's affinity
-mask, one forked worker per CPU after the first; ``taskset -c 0 ...``
-restricts them to one CPU, where nothing is forked.  The distances do not
-depend on the number of CPUs.
+Work is split over the CPUs of the process's affinity mask by one helper,
+``_in_blocks``: one contiguous block per CPU, the first run by the caller
+and each other one by a forked worker.  A lone space splits its all-pairs
+shortest paths by source rows.  The collapse experiment splits its scales
+instead: each worker builds and measures whole scales, and a worker never
+forks, so 4 scales on 2 CPUs fork once.  ``taskset -c 0 ...`` restricts a
+run to one CPU, where nothing is forked.  No result depends on the number
+of CPUs.
 
 Memory: a space of n points holds one n x n float64 distance matrix, 8n^2
 bytes, and no other n x n array is made while building or checking it.
 Proximity, the neighbor pick and the shortest-path searches run a block of
 rows at a time, and the distance rows are symmetrized in place.  The
 matrix lives in a shared anonymous map, so the forked workers of later
-spaces see it but never write to it.
+spaces see it but never write to it.  A collapse worker measures its
+scales one at a time, so each process holds at most one n x n matrix.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
 
 _MIN_SAMPLE = 50
 _TILE = 256  # tile side of the in-place passes over a distance matrix: 512 KB
+_splitting = False  # set while ``_in_blocks`` runs blocks, in its caller and children
 
 
 def _tiles(n: int):
@@ -239,18 +245,61 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
     return np.sqrt(best)
 
 
+def _in_blocks(count: int, block) -> None:
+    """Run ``block(lo, hi)`` over contiguous blocks covering ``range(count)``.
+
+    There is one block per CPU of the process's affinity mask (at most
+    ``count``).  The caller runs the first block; each other block runs in a
+    forked child, which exits without returning here.  Every child is
+    reaped, and RuntimeError names the blocks whose child failed.  While the
+    blocks run, a nested call, in a child or in the caller's own block, runs
+    its whole range in place, so one split forks once per extra CPU and a
+    worker never forks.  With one block nothing is forked.
+    """
+    global _splitting
+    # platforms without an affinity mask get one block
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blocks = 1 if _splitting else min(cpus, count)
+    if blocks <= 1:
+        block(0, count)
+        return
+    bounds = [count * b // blocks for b in range(blocks + 1)]
+    children = {}
+    _splitting = True
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:  # child: run its block and exit, never return to the caller
+                status = 1
+                try:
+                    block(lo, hi)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            children[pid] = (lo, hi)
+        block(bounds[0], bounds[1])
+    finally:
+        _splitting = False
+        failed = [(pid, lo, hi) for pid, (lo, hi) in children.items()
+                  if os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise RuntimeError("forked worker failed: " + ", ".join(
+                f"pid {pid} on [{lo}, {hi}) of {count}" for pid, lo, hi in failed))
+
+
 def geodesics(n: int, edges, weights) -> np.ndarray:
     """Stage 3: all-pairs Dijkstra distances over the weighted graph on n points.
 
-    The source rows are split into one contiguous block per CPU of the
-    affinity mask.  Each block after the first is run in a forked child that
-    writes its rows into a shared anonymous map; the caller runs the first
-    block and then reaps every child, raising if any of them failed.  With
-    one CPU the same loop forks nothing.  Each row is a single-source
-    Dijkstra run, so the result does not depend on the split.  Each block
-    is searched a few rows at a time, written straight into the map, and the
-    rows are then made exactly symmetric tile by tile inside it; the
-    map-backed array is returned.
+    The source rows are split by ``_in_blocks``, one contiguous block per
+    CPU of the affinity mask: forked children write their rows into a
+    shared anonymous map and the caller fills the first block.  Called from
+    a block of an outer split (a collapse worker), or on one CPU, it forks
+    nothing.  Each row is a single-source Dijkstra run, so the result does
+    not depend on the split.  Each block is searched a few rows at a time,
+    written straight into the map, and the rows are then made exactly
+    symmetric tile by tile inside it; the map-backed array is returned.
     """
     graph = csr_matrix(
         (np.concatenate([weights, weights]),
@@ -259,10 +308,6 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
         shape=(n, n))
     shared = mmap.mmap(-1, 8 * n * n)
     rows = np.frombuffer(shared, dtype=np.float64).reshape(n, n)
-    # one block per CPU of the affinity mask; platforms without a mask get one
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blocks = min(cpus, n)
-    bounds = [n * b // blocks for b in range(blocks + 1)]
 
     def fill(lo, hi):
         # the graph stores both directions, so the directed search is exact
@@ -274,26 +319,7 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
             rows[start:stop] = shortest_path(graph, method="D", directed=True,
                                              indices=np.arange(start, stop))
 
-    children = {}
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
-            if pid == 0:  # child: fill its block and exit, never return to the caller
-                status = 1
-                try:
-                    fill(lo, hi)
-                    status = 0
-                except BaseException:
-                    traceback.print_exc()
-                finally:
-                    os._exit(status)
-            children[pid] = (lo, hi)
-        fill(bounds[0], bounds[1])
-    finally:
-        failed = [block for pid, block in children.items()
-                  if os.waitpid(pid, 0)[1] != 0]
-        if failed:
-            raise RuntimeError(f"shortest-path worker failed on row blocks {failed}")
+    _in_blocks(n, fill)
     # exact symmetry, made in place: the map is the only n x n array
     farthest = 0.0
     for r, c in _tiles(n):
@@ -325,10 +351,14 @@ def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
                         weights=w, provenance=prov)
 
 
-def _draw_points(seed, n, r_in, r_out, group):
-    """n points: stratified radii in [r_in, r_out], uniform (quotient) sphere fibers."""
+def _check_sample_size(n: int) -> None:
     if n < _MIN_SAMPLE:
         raise ValueError(f"need at least {_MIN_SAMPLE} sample points, got {n}")
+
+
+def _draw_points(seed, n, r_in, r_out, group):
+    """n points: stratified radii in [r_in, r_out], uniform (quotient) sphere fibers."""
+    _check_sample_size(n)
     rng = np.random.default_rng(seed)
     # stratified radii: one draw per bin of a uniform partition
     u = (np.arange(n) + rng.uniform(size=n)) / n
@@ -480,6 +510,16 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     ``d_graph / d_exact`` (max and mean over ordered pairs of distinct
     points).  The closed forms are evaluated a block of rows at a time, so
     the graph's distance matrix is the only full one held.
+
+    The scales run one contiguous block per CPU of the affinity mask
+    (``_in_blocks``): the caller runs the first block and a forked worker
+    each other one.  A worker draws, builds and measures its scales one at a
+    time, never forks, and writes one row of floats per scale into a shared
+    anonymous map; each process holds at most one n x n matrix.  Input is
+    validated before any fork, and the failed premise is reported by the
+    caller, for the first failing eps.  A single scale runs in the caller,
+    whose ``geodesics`` then splits its rows; on one CPU (``taskset -c 0``)
+    nothing is forked.  The rows do not depend on the number of CPUs.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -491,45 +531,62 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     if profile.neck_slope is None or profile.r1 is None:
         raise ValueError("profile needs a neck_slope and r1 for the cone comparison")
 
+    _check_sample_size(n)
+
     slope = profile.neck_slope
     tail = profile.r1 + 0.25
     offset = float(profile.rho(tail)) - slope * tail  # b in rho = c*r + b on the tail
+    # per eps: gh, diameter, stretch max and mean, core and apex margins
+    shared = mmap.mmap(-1, 8 * 6 * len(eps_arr))
+    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), 6)
+
+    def scales(first, stop):
+        for idx in range(first, stop):
+            eps = eps_arr[idx]
+            radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
+            graph = space_from_points(
+                profile.rescale(eps), radii, quats, group="q8",
+                provenance={"kind": "collapse-smooth", "eps": eps, "seed": seed})
+            shift = eps * offset / slope
+            u = radii + shift  # cone radii of eps^2 g on the tail
+            gh = stretch_max = stretch_sum = 0.0
+            core = apex = np.inf
+            # rows per pass: about 512 KB per temporary
+            block = max(1, (1 << 16) // n)
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                theta = _quotient_angles(quats[lo:hi], quats, "q8")
+                theta[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
+                ra = radii[lo:hi, None]
+                cone = cone_distance(ra, radii, theta, slope)
+                smooth = cone_distance(u[lo:hi, None], u, theta, slope)
+                block_core, block_apex = _tail_margins(ra, radii, shift, theta, smooth,
+                                                       slope, eps * tail)
+                core, apex = min(core, block_core), min(apex, block_apex)
+                gh = max(gh, gh_upper_bound(smooth, cone))
+                # the diagonal, where both distances are 0, counts as 0
+                stretch = np.divide(graph.dist[lo:hi], smooth,
+                                    out=np.zeros_like(smooth), where=smooth > 0)
+                stretch_max = max(stretch_max, float(stretch.max()))
+                stretch_sum += float(stretch.sum())
+            table[idx] = (gh, graph.diameter(), stretch_max,
+                          stretch_sum / (n * (n - 1)), core, apex)
+            del graph  # free this matrix before the next eps builds its own
+            if core < 0 or apex < 0:
+                # the caller reports the first failing eps, which comes before
+                # every row this block leaves unwritten
+                return
+
+    _in_blocks(len(eps_arr), scales)
     rows = []
-    for idx, eps in enumerate(eps_arr):
-        radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
-        graph = space_from_points(
-            profile.rescale(eps), radii, quats, group="q8",
-            provenance={"kind": "collapse-smooth", "eps": eps, "seed": seed})
-        shift = eps * offset / slope
-        u = radii + shift  # cone radii of eps^2 g on the tail
-        gh = stretch_max = stretch_sum = 0.0
-        core = apex = np.inf
-        # rows per pass: about 512 KB per temporary
-        block = max(1, (1 << 16) // n)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            theta = _quotient_angles(quats[lo:hi], quats, "q8")
-            theta[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
-            ra = radii[lo:hi, None]
-            cone = cone_distance(ra, radii, theta, slope)
-            smooth = cone_distance(u[lo:hi, None], u, theta, slope)
-            block_core, block_apex = _tail_margins(ra, radii, shift, theta, smooth,
-                                                   slope, eps * tail)
-            core, apex = min(core, block_core), min(apex, block_apex)
-            gh = max(gh, gh_upper_bound(smooth, cone))
-            # the diagonal, where both distances are 0, counts as 0
-            stretch = np.divide(graph.dist[lo:hi], smooth, out=np.zeros_like(smooth),
-                                where=smooth > 0)
-            stretch_max = max(stretch_max, float(stretch.max()))
-            stretch_sum += float(stretch.sum())
+    for eps, (gh, diam, stretch_max, stretch_mean, core, apex) in zip(eps_arr,
+                                                                       table.tolist()):
         if core < 0 or apex < 0:
             raise ValueError(
                 f"tail premise fails at eps = {eps}: core-detour margin "
                 f"{core / eps:.3g}*eps, closest-approach margin {apex / eps:.3g}*eps "
                 "(both must be >= 0 for the closed-form cone distance to be the "
                 "smooth metric's)")
-        rows.append(CollapseRow(eps=eps, gh_bound=gh, diameter=graph.diameter(),
-                                stretch_max=stretch_max,
-                                stretch_mean=stretch_sum / (n * (n - 1))))
-        del graph  # free this matrix before the next eps builds its own
+        rows.append(CollapseRow(eps=eps, gh_bound=gh, diameter=diam,
+                                stretch_max=stretch_max, stretch_mean=stretch_mean))
     return CollapseResult(rows=tuple(rows), seed=seed, n=n)

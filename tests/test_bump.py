@@ -111,6 +111,52 @@ def test_table_against_adaptive_quadrature(eta, table):
         assert table.antiderivative2(x) == pytest.approx(ref2, abs=1e-11)
 
 
+def _unmasked(table, x):
+    """Both antiderivatives with the partial panel integrated at every point,
+    the in-table formula that ``np.where`` then overrides outside the grid."""
+    x = np.asarray(x, dtype=float)
+    xc, idx = table._locate(x)
+    lo, hi = table.grid[0], table.grid[-1]
+    first = table.first_antiderivative[idx] + bump._gl(
+        table.bump.eta, table.grid[idx], xc, table.order)
+    first = np.where(x >= hi, table.mass, np.where(x <= lo, 0.0, first))
+    a = table.grid[idx]
+    second = (table.second_antiderivative[idx] + table.first_antiderivative[idx] * (xc - a)
+              + bump._gl(lambda s: (np.expand_dims(xc, -1) - s) * table.bump.eta(s),
+                         a, xc, table.order))
+    end = table.second_antiderivative[-1] + table.mass * (x - hi)
+    second = np.where(x >= hi, end, np.where(x <= lo, 0.0, second))
+    return first, second
+
+
+def test_out_of_table_points_skip_the_partial_panel(table):
+    # the partial panel is integrated only strictly inside the grid, and every
+    # value keeps its bits: at interior points, at both grid ends, outside on
+    # either side, for 0-d scalars and for mixed arrays of any length
+    lo, hi = table.grid[0], table.grid[-1]
+    rng = np.random.default_rng(3)
+    points = [0.1, table.grid[7], lo, hi, lo - 0.2, hi + 0.5]
+    mixed = [rng.uniform(lo - 0.1, hi + 0.1, size=m) for m in (1, 2, 3, 5, 13, 64, 257)]
+    mixed[-1][::7] = lo
+    mixed[-1][3::11] = hi
+    for x in [*points, *(np.asarray(p) for p in points), *mixed, np.reshape(mixed[-2], (8, 8))]:
+        first, second = _unmasked(table, x)
+        got = table.antiderivative(x), table.antiderivative2(x)
+        assert np.ndim(got[0]) == np.ndim(got[1]) == np.ndim(x)
+        assert np.array_equal(got[0], first) and np.array_equal(got[1], second)
+    calls = []
+    real = table.bump.eta
+
+    def counting(s):
+        calls.append(np.size(s))
+        return real(s)
+    outside = np.array([lo - 1.0, lo, hi, hi + 2.0])
+    table_counting = replace(table, bump=replace(table.bump, eta=counting))
+    table_counting.antiderivative(outside)
+    table_counting.antiderivative2(outside)
+    assert calls == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # r1
 # ---------------------------------------------------------------------------

@@ -286,6 +286,25 @@ def test_collapse_deterministic(tmp_path):
     assert a == b
 
 
+def test_collapse_forks_after_blas_threads_start(tmp_path):
+    # without the *_NUM_THREADS variables OpenBLAS starts its thread pool at
+    # import, before the scales are forked; the forked workers then multiply
+    # matrices, and must neither hang nor change a byte of the table
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    tables = []
+    for name, threads in (("pinned", {var: "1" for var in blas}), ("unpinned", {})):
+        out = tmp_path / name
+        out.mkdir()
+        env = {key: value for key, value in _src_env().items() if key not in blas}
+        proc = subprocess.run([sys.executable, "-m", "conekit.cli", "collapse", "--out",
+                               str(out), "--n", "120", "--eps", "1,0.5,0.25,0.125"],
+                              env={**env, **threads}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        tables.append(_strip_timestamps((out / "collapse.csv").read_text()))
+    assert tables[0] == tables[1]
+
+
 def test_obstruction_default(capsys):
     assert main(["obstruction"]) == 0
     out = capsys.readouterr().out

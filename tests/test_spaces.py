@@ -302,13 +302,20 @@ def _weighted_graph(kind, lab_profile):
 
 
 def _use_cpus(monkeypatch, cpus):
-    """Give ``geodesics`` an affinity mask of ``cpus`` CPUs; return a fork counter."""
+    """Give ``spaces`` an affinity mask of ``cpus`` CPUs; return a fork counter.
+
+    The counter lists the forks of this process.  A fork from a forked
+    worker fails an assertion there, which fails that worker and so the
+    split that started it.
+    """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     forks = []
+    caller = os.getpid()
     real_fork = os.fork
 
     def counting_fork():
+        assert os.getpid() == caller, "a forked worker forked"
         forks.append(1)
         return real_fork()
     monkeypatch.setattr(os, "fork", counting_fork)
@@ -337,15 +344,19 @@ def test_geodesics_worker_failure_raises_and_reaps(monkeypatch, lab_profile, fai
     real = spaces.shortest_path
 
     def flaky(graph, *args, indices, **kwargs):
-        # the caller's block is the first third of the rows, searched in
-        # several calls; the children's blocks are the rest
-        if (indices[0] < n // 3) == (failing == "caller"):
+        # 1000 rows over 3 CPUs: the caller's block is rows [0, 333), searched
+        # in several calls; the children's blocks are [333, 666) and [666, 1000)
+        if (indices[0] < 333) == (failing == "caller"):
             raise MemoryError("injected")
         return real(graph, *args, indices=indices, **kwargs)
     monkeypatch.setattr(spaces, "shortest_path", flaky)
     _use_cpus(monkeypatch, 3)
-    expected = RuntimeError if failing == "child" else MemoryError
-    with pytest.raises(expected):
+    if failing == "child":
+        expected = pytest.raises(RuntimeError, match=r"pid \d+ on \[333, 666\) of 1000, "
+                                                     r"pid \d+ on \[666, 1000\) of 1000$")
+    else:
+        expected = pytest.raises(MemoryError, match="injected")
+    with expected:
         geodesics(n, edges, weights)
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -463,7 +474,11 @@ def test_cone_past_pi_goes_through_the_apex():
 # collapse
 # ---------------------------------------------------------------------------
 
-def test_collapse_validation(lab_profile):
+def test_collapse_validation(monkeypatch, lab_profile):
+    # input is checked before the scales are split over 2 CPUs
+    forks = _use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="need at least 50 sample points, got 49"):
+        collapse_experiment(lab_profile, (1.0, 0.5, 0.25, 0.125), n=49)
     with pytest.raises(ValueError):
         collapse_experiment(lab_profile, ())
     with pytest.raises(ValueError):
@@ -474,6 +489,7 @@ def test_collapse_validation(lab_profile):
         collapse_experiment(profiles.round_profile(), (1.0, 0.5), n=100)
     with pytest.raises(ValueError, match="r1"):
         collapse_experiment(profiles.cone_profile(0.05), (1.0, 0.5), n=100)
+    assert len(forks) == 0
 
 
 def test_collapse_single_eps(lab_profile):
@@ -539,3 +555,71 @@ def test_collapse_tail_premise_fails_at_steep_slope():
     with pytest.raises(ValueError, match=r"tail premise fails at eps = 1\.0: "
                                          r"core-detour margin -0\.0"):
         collapse_experiment(bump.build_profile(0.5), n=800, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# collapse scales split across processes
+# ---------------------------------------------------------------------------
+
+EPS4 = (1.0, 0.5, 0.25, 0.125)
+
+
+def test_collapse_rows_do_not_depend_on_cpus(monkeypatch, lab_profile):
+    # 4 scales on 1, 2 and 3 CPUs run as blocks of 4, 2 + 2 and 1 + 1 + 2
+    # scales; the split forks once per extra block, and neither a worker nor
+    # the caller's own block forks again for its shortest paths
+    rows = {}
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            forks = _use_cpus(patch, cpus)
+            rows[cpus] = collapse_experiment(lab_profile, EPS4, n=120, seed=5).rows
+            assert len(forks) == min(cpus, len(EPS4)) - 1
+    assert rows[1] == rows[2] == rows[3]
+
+
+def test_collapse_single_eps_splits_its_rows(monkeypatch, lab_profile):
+    # one scale runs in the caller, whose geodesics splits the rows
+    with monkeypatch.context() as patch:
+        _use_cpus(patch, 1)
+        expect = collapse_experiment(lab_profile, (1.0,), n=120, seed=5).rows
+    forks = _use_cpus(monkeypatch, 2)
+    assert collapse_experiment(lab_profile, (1.0,), n=120, seed=5).rows == expect
+    assert len(forks) == 1
+
+
+def test_collapse_premise_failure_in_a_worker(monkeypatch):
+    # at slope 0.9, n = 120 and seed 14 only the last scale fails its tail
+    # premise; on 2 CPUs that scale is the worker's, and the caller reports it
+    profile = bump.build_profile(0.9)
+    messages = []
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            forks = _use_cpus(patch, cpus)
+            with pytest.raises(ValueError, match="tail premise fails at eps = 0.97:") as exc:
+                collapse_experiment(profile, (1.0, 0.99, 0.98, 0.97), n=120, seed=14)
+            assert len(forks) == cpus - 1
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("failing", ["child", "caller"])
+def test_collapse_worker_failure_raises_and_reaps(monkeypatch, lab_profile, failing):
+    # on 2 CPUs the caller runs eps 1 and 0.5, the worker 0.25 and 0.125
+    real = spaces.space_from_points
+    bad = 0.125 if failing == "child" else 1.0
+
+    def flaky(profile, radii, quats, **kwargs):
+        if kwargs["provenance"]["eps"] == bad:
+            raise MemoryError("injected")
+        return real(profile, radii, quats, **kwargs)
+    monkeypatch.setattr(spaces, "space_from_points", flaky)
+    forks = _use_cpus(monkeypatch, 2)
+    if failing == "child":
+        expected = pytest.raises(RuntimeError, match=r"pid \d+ on \[2, 4\) of 4$")
+    else:
+        expected = pytest.raises(MemoryError, match="injected")
+    with expected:
+        collapse_experiment(lab_profile, EPS4, n=120, seed=5)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
