@@ -11,7 +11,9 @@ the tail slope of rho equals the requested neck slope.  All integrals are
 evaluated from precomputed Gauss-Legendre tables whose panels are aligned
 to the bump's segment boundaries; first and second derivatives of the
 profiles are closed-form (the integrands themselves), third derivatives
-come from the closed-form ``eta'``.
+come from the closed-form ``eta'``.  Every quadrature sums each point's
+nodes on its own, so a radius gets the same bits in any batch and under
+any BLAS kernel.
 
 Every property claimed of the construction is certified on a grid at build
 time; a failed claim raises :class:`ConstructionError` naming the claim.
@@ -125,36 +127,33 @@ class BumpSpec:
 _gl_rule = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def _gl(f, a, x, order, where=None):
+def _gl(f, a, x, order):
     """Gauss-Legendre integral of f over [a, x], elementwise for arrays a, x.
 
-    With a boolean mask ``where`` of x's shape, f is evaluated only at the
-    nodes of the masked points, ``f(nodes[where])``, and the other points
-    integrate to 0.  The weighted sum still runs over the full shape: BLAS
-    rounds a row of a matrix-vector product differently depending on where
-    in the matrix it sits, so each masked point keeps its place and its bits.
+    Each point's weighted nodes are summed on their own (a numpy reduction
+    over the last axis, not a BLAS product), so a point's value does not
+    depend on the batch it is evaluated in or on the machine's BLAS kernel.
     """
     xs, w = _gl_rule(order)
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     half = 0.5 * (x - a)
     nodes = 0.5 * (a + x)[..., None] + half[..., None] * xs
-    if where is None:
-        values = f(nodes)
-    else:
-        values = np.zeros_like(nodes)
-        values[where] = f(nodes[where])
-    return half * np.dot(values, w)
+    return half * (f(nodes) * w).sum(-1)
+
+
+def _panel_edges(segments, per_segment):
+    """Edges of ``per_segment`` equal panels per segment, aligned to the breakpoints."""
+    pieces = [np.linspace(a, b, per_segment + 1)[:-1]
+              for a, b in zip(segments[:-1], segments[1:])]
+    return np.concatenate(pieces + [np.array([segments[-1]])])
 
 
 def _segment_quad(f, segments):
     """Integral of f over the union of segments, panels aligned to breakpoints."""
-    total = 0.0
-    for a, b in zip(segments[:-1], segments[1:]):
-        edges = np.linspace(a, b, _SEGMENT_PANELS + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += _gl(f, lo, hi, _SEGMENT_ORDER)
-    return total
+    edges = _panel_edges(segments, _SEGMENT_PANELS)
+    # a running total in panel order; np.sum would add pairwise, rounding otherwise
+    return np.cumsum(_gl(f, edges[:-1], edges[1:], _SEGMENT_ORDER))[-1]
 
 
 def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), ceiling=64.0, mass=4.0,
@@ -243,7 +242,8 @@ class QuadratureTable:
     ``second_antiderivative[i] = int_0^{grid[i]} first_antiderivative``.
     Between grid points the remainders are integrated on the fly with the
     same Gauss-Legendre order, so evaluations are spectrally accurate for
-    smooth bumps.
+    smooth bumps.  Only points strictly inside the grid need a remainder,
+    and each point's value is independent of the batch it is evaluated in.
     """
 
     bump: BumpSpec
@@ -257,61 +257,47 @@ class QuadratureTable:
     def mass(self) -> float:
         return float(self.first_antiderivative[-1])
 
-    def _locate(self, x):
-        """x clipped to the grid and the index of the panel that holds it."""
-        xc = np.clip(x, self.grid[0], self.grid[-1])
-        idx = np.clip(np.searchsorted(self.grid, xc, side="right") - 1,
-                      0, len(self.grid) - 2)
-        return xc, idx
-
-    def _inside(self, x):
-        """Where x lies strictly inside the grid (or is NaN): the points whose
-        value needs a partial panel; ``np.where`` sets every other one."""
-        return ~((x <= self.grid[0]) | (x >= self.grid[-1]))
+    def _partial_panels(self, x):
+        """Where x lies strictly inside the grid (or is NaN), the points whose
+        value needs a partial panel, and the panel that holds each of them."""
+        inside = ~((x <= self.grid[0]) | (x >= self.grid[-1]))
+        return inside, np.searchsorted(self.grid, x[inside], side="right") - 1
 
     def antiderivative(self, x):
         """E(x) = int_0^x eta, for any real x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        xc, idx = self._locate(x)
-        base = self.first_antiderivative[idx]
-        part = _gl(self.bump.eta, self.grid[idx], xc, self.order, self._inside(x))
-        out = base + part
-        out = np.where(x <= self.grid[0], 0.0, out)
-        out = np.where(x >= self.grid[-1], self.mass, out)
+        out = np.where(x >= self.grid[-1], self.mass, 0.0)
+        inside, idx = self._partial_panels(x)
+        out[inside] = self.first_antiderivative[idx] + _gl(
+            self.bump.eta, self.grid[idx], x[inside], self.order)
         return out if out.ndim else float(out)
 
     def antiderivative2(self, x):
         """Phi2(x) = int_0^x E, for any real x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        xc, idx = self._locate(x)
-        a = self.grid[idx]
-        base = (self.second_antiderivative[idx]
-                + self.first_antiderivative[idx] * (xc - a))
-        inside = self._inside(x)
-        top = xc[inside][:, None]  # the upper limit of each evaluated panel
-        part = _gl(lambda s: (top - s) * self.bump.eta(s), a, xc, self.order, inside)
-        out = base + part
-        lo, hi = self.grid[0], self.grid[-1]
+        hi = self.grid[-1]
         end = float(self.second_antiderivative[-1])
-        out = np.where(x <= lo, 0.0, out)
-        out = np.where(x >= hi, end + self.mass * (x - hi), out)
+        out = np.where(x >= hi, end + self.mass * (x - hi), 0.0)
+        inside, idx = self._partial_panels(x)
+        a, top = self.grid[idx], x[inside]  # each partial panel is [a, top]
+        out[inside] = (self.second_antiderivative[idx] + self.first_antiderivative[idx] * (top - a)
+                       + _gl(lambda s: (top[:, None] - s) * self.bump.eta(s), a, top, self.order))
         return out if out.ndim else float(out)
 
 
 def build_table(bump: BumpSpec, cells_per_segment=24, order=24) -> QuadratureTable:
     """Precompute cumulative integrals of the bump on an aligned panel grid."""
-    pieces = [np.linspace(a, b, cells_per_segment + 1)[:-1]
-              for a, b in zip(bump.segments[:-1], bump.segments[1:])]
-    grid = np.concatenate(pieces + [np.array([bump.segments[-1]])])
+    grid = _panel_edges(bump.segments, cells_per_segment)
+    a, b = grid[:-1], grid[1:]
 
     def cumulative(ordr):
+        cells = _gl(bump.eta, a, b, ordr)
+        moments = _gl(lambda s: (b[:, None] - s) * bump.eta(s), a, b, ordr)
         e = np.zeros(len(grid))
         p = np.zeros(len(grid))
         for i in range(len(grid) - 1):
-            a, b = grid[i], grid[i + 1]
-            e[i + 1] = e[i] + _gl(bump.eta, a, b, ordr)
-            p[i + 1] = (p[i] + e[i] * (b - a)
-                        + _gl(lambda s: (b - s) * bump.eta(s), a, b, ordr))
+            e[i + 1] = e[i] + cells[i]
+            p[i + 1] = p[i] + e[i] * (b[i] - a[i]) + moments[i]
         return e, p
 
     e_hi, p_hi = cumulative(order)

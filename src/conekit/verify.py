@@ -4,7 +4,11 @@ The construction's curvature argument splits the radial line at
 r1 + 1/16, r1 + 3/16 and r1 + 1/4; each piece carries its own declared
 bounds and auxiliary inequalities.  Verification here is sampling plus
 endpoint refinement, not interval arithmetic: a report certifies "no grid
-violation at tolerance tol", and says so explicitly in its label.
+violation at tolerance tol", and says so explicitly in its label.  A
+report makes three ``ricci_curve`` calls: one per refined endpoint and one
+on the refined grid.  A radius gets the same values in any batch, so the
+batched refinement keeps exactly the radii a one-radius-at-a-time
+bisection would.
 
 Bounds involving the reference constants (e.g. 2 - 2*exp(-200)) collapse
 to their representable 64-bit values; each check carries the symbolic
@@ -71,22 +75,20 @@ def _refined_radii(profile: ProfilePair, lo: float, hi: float, n_grid: int,
 
     Near each endpoint the first subinterval is halved until consecutive
     Ricci samples move by less than tol, so boundary minima are not missed
-    by the uniform grid.
+    by the uniform grid.  All ``_MAX_BISECTIONS + 1`` candidate radii of an
+    endpoint are evaluated in one ``ricci_curve`` call and the radii up to
+    the first small move are kept; when no move gets below tol the
+    refinement stops at ``_MAX_BISECTIONS`` halvings without saying so.
     """
     base = np.linspace(lo, hi, n_grid)
+    halvings = 0.5 ** np.arange(_MAX_BISECTIONS + 1)
     extras = []
     for anchor, direction in ((lo, +1.0), (hi, -1.0)):
-        d = (hi - lo) / (n_grid - 1)
-        prev = ricci_curve(profile, anchor + direction * d)[:, 0]
-        for _ in range(_MAX_BISECTIONS):
-            d *= 0.5
-            pt = anchor + direction * d
-            cur = ricci_curve(profile, pt)[:, 0]
-            extras.append(pt)
-            if np.max(np.abs(cur - prev)) < tol:
-                break
-            prev = cur
-    return np.unique(np.concatenate([base, np.asarray(extras)]))
+        pts = anchor + direction * ((hi - lo) / (n_grid - 1) * halvings)
+        vals = ricci_curve(profile, pts)
+        settled = np.flatnonzero(np.abs(np.diff(vals, axis=1)).max(axis=0) < tol)
+        extras.append(pts[1:settled[0] + 2] if settled.size else pts[1:])
+    return np.unique(np.concatenate([base, *extras]))
 
 
 def _entry_checks(vals: np.ndarray, bounds: list, tol: float) -> list[BoundCheck]:

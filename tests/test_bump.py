@@ -111,12 +111,22 @@ def test_table_against_adaptive_quadrature(eta, table):
         assert table.antiderivative2(x) == pytest.approx(ref2, abs=1e-11)
 
 
+def test_antiderivatives_do_not_depend_on_the_batch(table):
+    # a point gets the same bits alone, in a batch and in any order
+    x = np.linspace(table.grid[0] - 0.1, table.grid[-1] + 0.1, 1001)
+    for antiderivative in (table.antiderivative, table.antiderivative2):
+        whole = antiderivative(x)
+        assert np.array_equal(whole, [antiderivative(v) for v in x])
+        assert np.array_equal(whole, antiderivative(x[::-1])[::-1])
+
+
 def _unmasked(table, x):
-    """Both antiderivatives with the partial panel integrated at every point,
-    the in-table formula that ``np.where`` then overrides outside the grid."""
+    """Both antiderivatives with the partial panel integrated at every point
+    clipped to the grid, the in-table formula then overridden outside it."""
     x = np.asarray(x, dtype=float)
-    xc, idx = table._locate(x)
     lo, hi = table.grid[0], table.grid[-1]
+    xc = np.clip(x, lo, hi)
+    idx = np.clip(np.searchsorted(table.grid, xc, side="right") - 1, 0, len(table.grid) - 2)
     first = table.first_antiderivative[idx] + bump._gl(
         table.bump.eta, table.grid[idx], xc, table.order)
     first = np.where(x >= hi, table.mass, np.where(x <= lo, 0.0, first))
@@ -154,7 +164,7 @@ def test_out_of_table_points_skip_the_partial_panel(table):
     table_counting = replace(table, bump=replace(table.bump, eta=counting))
     table_counting.antiderivative(outside)
     table_counting.antiderivative2(outside)
-    assert calls == [0, 0]
+    assert not any(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,27 @@ def test_collapse_forks_after_blas_threads_start(tmp_path):
     assert tables[0] == tables[1]
 
 
+def test_curvature_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel of an OpenBLAS built with DYNAMIC_ARCH,
+    # as numpy's wheels are; elsewhere it is ignored and both runs share one
+    # kernel, so this only discriminates on such builds
+    env = {key: value for key, value in _src_env().items() if key != "OPENBLAS_CORETYPE"}
+    texts = []
+    for name, kernel in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        out = tmp_path / name
+        out.mkdir()
+        for argv in (["build-profile", "--out", str(out)],
+                     ["verify", "--profile", str(out / "profile.json"), "--out", str(out),
+                      "--grid", "64"]):
+            proc = subprocess.run([sys.executable, "-m", "conekit.cli", *argv],
+                                  env={**env, **kernel}, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        texts.append({file: _strip_timestamps((out / file).read_text()) for file in
+                      ("profile.json", "smoothness.csv", "verification.csv", "ricci_curve.csv")})
+    assert texts[0] == texts[1]
+
+
 def test_obstruction_default(capsys):
     assert main(["obstruction"]) == 0
     out = capsys.readouterr().out

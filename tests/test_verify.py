@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from conekit.frame import ricci_curve
+from conekit import verify
 from conekit.profiles import flat_profile, round_profile
 from conekit.verify import (
+    _MAX_BISECTIONS,
+    R_FLOOR,
     Region,
+    _refined_radii,
     negative_control,
     standard_regions,
     verify_nonneg,
@@ -127,12 +131,59 @@ def test_regional_minima_match_global(reference_profile):
         assert abs(least - global_min[key]) < tol
 
 
-def test_partitioned_minima_are_order_independent(reference_profile):
-    radii = np.linspace(1e-6, 3.0, 1001)
-    whole = ricci_curve(reference_profile, radii).min(axis=1)
-    shuffled = np.random.default_rng(0).permutation(radii)
-    scrambled = ricci_curve(reference_profile, shuffled).min(axis=1)
-    assert np.array_equal(whole, scrambled)
+def test_partitioned_minima_are_order_independent(reference_profile, lab_profile):
+    # not only the minima: every entry of every radius has the same bits in
+    # a batch, in a permuted batch and alone, so a grid may be partitioned
+    # arbitrarily; the second grid is dense where phi and rho are quadratures
+    order = np.random.default_rng(0).permutation(2002)
+    for profile in (reference_profile, lab_profile):
+        radii = np.concatenate([np.linspace(1e-6, 3.0, 1001),
+                                np.linspace(profile.r1, profile.r1 + 0.25, 1001)])
+        whole = ricci_curve(profile, radii)
+        assert np.array_equal(ricci_curve(profile, radii[order]), whole[:, order])
+        alone = np.stack([ricci_curve(profile, r)[:, 0] for r in radii], axis=1)
+        assert np.array_equal(alone, whole)
+
+
+def _serial_refined_radii(profile, lo, hi, n_grid, tol):
+    """The endpoint bisection one radius per ``ricci_curve`` call: the reference
+    the batched ``_refined_radii`` must reproduce."""
+    base = np.linspace(lo, hi, n_grid)
+    extras = []
+    for anchor, direction in ((lo, +1.0), (hi, -1.0)):
+        d = (hi - lo) / (n_grid - 1)
+        prev = ricci_curve(profile, anchor + direction * d)[:, 0]
+        for _ in range(_MAX_BISECTIONS):
+            d *= 0.5
+            pt = anchor + direction * d
+            cur = ricci_curve(profile, pt)[:, 0]
+            extras.append(pt)
+            if np.max(np.abs(cur - prev)) < tol:
+                break
+            prev = cur
+    return np.unique(np.concatenate([base, np.asarray(extras)]))
+
+
+def test_batched_refinement_matches_serial_bisection(reference_profile, lab_profile):
+    tol = 1e-9
+    for profile in (reference_profile, lab_profile, negative_control(reference_profile)):
+        spans = [(max(reg.lo, R_FLOOR), reg.hi, n_grid)
+                 for reg in standard_regions(profile, 3.0) for n_grid in (64, 1024)]
+        for lo, hi, n_grid in [*spans, (R_FLOOR, 3.0, 4096)]:
+            assert np.array_equal(_refined_radii(profile, lo, hi, n_grid, tol),
+                                  _serial_refined_radii(profile, lo, hi, n_grid, tol))
+
+
+def test_region_makes_three_ricci_curve_calls(reference_profile, monkeypatch):
+    calls = []
+
+    def counting(profile, r):
+        calls.append(np.size(r))
+        return ricci_curve(profile, r)
+    monkeypatch.setattr(verify, "ricci_curve", counting)
+    region = standard_regions(reference_profile, 3.0)[1]
+    assert verify_region(reference_profile, region, n_grid=256).passed
+    assert calls[:2] == [_MAX_BISECTIONS + 1] * 2 and len(calls) == 3
 
 
 def test_report_serialization(reference_profile):
