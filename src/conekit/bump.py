@@ -22,7 +22,6 @@ time; a failed claim raises :class:`ConstructionError` naming the claim.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -49,9 +48,19 @@ __all__ = [
 ]
 
 REFERENCE_NECK_SLOPE = math.exp(-100.0)
+# the one bump: 0 <= eta <= CEILING, eta >= FLOOR on PLATEAU, mass MASS (forced
+# by the head slope phi' = 4); its quadrature table's panels per segment and order
+PLATEAU = (1.0 / 16.0, 3.0 / 16.0)
+CEILING = 64.0
+MASS = 4.0
+FLOOR = 16.0
+CELLS_PER_SEGMENT = 24
+ORDER = 24
+# profile.json's construction block after its neck_slope, in file order
+_CONSTRUCTION = {"plateau": list(PLATEAU), "ceiling": CEILING, "mass": MASS,
+                 "floor": FLOOR, "cells_per_segment": CELLS_PER_SEGMENT, "order": ORDER}
 _SUPPORT = (0.0, 0.25)
-# where eta is claimed to stay above its floor, and to be non-increasing
-_FLOOR_WINDOW = (1.0 / 16.0, 3.0 / 16.0)
+# where eta is claimed to be non-increasing
 _TAIL_WINDOW = (0.125, 0.25)
 # grid sizes of the certification sweeps: the bump over its support, the
 # profiles over each claimed interval
@@ -156,21 +165,16 @@ def _segment_quad(f, segments):
     return np.cumsum(_gl(f, edges[:-1], edges[1:], _SEGMENT_ORDER))[-1]
 
 
-def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), ceiling=64.0, mass=4.0,
-             floor=16.0) -> BumpSpec:
-    """Build and certify the C-infinity plateau bump.
+def make_eta() -> BumpSpec:
+    """Build and certify the C-infinity plateau bump of the module constants.
 
-    The bump rises from 0 over [0, plateau[0]] by a smooth step, holds a
-    constant amplitude on the plateau, and falls back to 0 over
-    [plateau[1], 1/4].  The amplitude is set so the total mass hits
-    the requested value; infeasible combinations (amplitude above the
-    ceiling or below the floor) raise :class:`ConstructionError` reporting
-    the achievable mass.
+    The bump rises from 0 over [0, 1/16] by a smooth step, holds a constant
+    amplitude on ``PLATEAU`` and falls back to 0 over [3/16, 1/4]; the
+    amplitude sets the mass to ``MASS``.  A failed range, support, floor,
+    tail or mass claim raises :class:`ConstructionError`.
     """
     lo, hi = _SUPPORT
-    p0, p1 = plateau
-    if not (lo < p0 < p1 < hi):
-        raise ValueError("plateau must sit strictly inside the support")
+    p0, p1 = PLATEAU
     w_up = p0 - lo
     w_down = hi - p1
 
@@ -188,46 +192,34 @@ def make_eta(plateau=(1.0 / 16.0, 3.0 / 16.0), ceiling=64.0, mass=4.0,
 
     segments = (lo, p0, p1, hi)
     unit_mass = _segment_quad(unit, segments)
-    amplitude = mass / unit_mass
-    if amplitude > ceiling:
-        raise ConstructionError(
-            f"mass constraint infeasible: amplitude {amplitude:.6g} exceeds "
-            f"ceiling {ceiling}; achievable mass at ceiling is "
-            f"{ceiling * unit_mass:.6g}")
-    if amplitude < floor:
-        raise ConstructionError(
-            f"floor constraint infeasible: mass {mass} only needs amplitude "
-            f"{amplitude:.6g} < floor {floor}; achieved mass would violate "
-            f"eta >= {floor} on the floor window")
-
+    amplitude = MASS / unit_mass
     spec = BumpSpec(eta=lambda x: amplitude * unit(x),
                     eta_prime=lambda x: amplitude * unit_prime(x),
                     segments=segments, mass=amplitude * unit_mass)
-    _certify_eta(spec, mass, ceiling, floor)
+    _certify_eta(spec)
     return spec
 
 
-def _certify_eta(spec: BumpSpec, requested_mass: float, ceiling: float,
-                 floor: float) -> None:
+def _certify_eta(spec: BumpSpec) -> None:
     lo, hi = _SUPPORT
     xs = np.linspace(lo, hi, _ETA_CHECKS)
     vals = spec.eta(xs)
-    if np.any(vals < -1e-12) or np.any(vals > ceiling + 1e-12):
+    if np.any(vals < -1e-12) or np.any(vals > CEILING + 1e-12):
         raise ConstructionError("range claim failed: eta outside [0, ceiling]")
     outside = spec.eta(np.array([lo - 0.05, lo - 1e-9, hi + 1e-9, hi + 0.05]))
     if np.any(np.abs(outside) > 0.0):
         raise ConstructionError("support claim failed: eta != 0 outside support")
-    f0, f1 = _FLOOR_WINDOW
-    fw = xs[(xs >= f0) & (xs <= f1)]
-    if np.any(spec.eta(fw) < floor - 1e-12):
-        raise ConstructionError("floor claim failed: eta < floor on floor window")
+    p0, p1 = PLATEAU
+    fw = xs[(xs >= p0) & (xs <= p1)]
+    if np.any(spec.eta(fw) < FLOOR - 1e-12):
+        raise ConstructionError("floor claim failed: eta < floor on the plateau")
     t0, t1 = _TAIL_WINDOW
     tw = xs[(xs >= t0) & (xs <= t1)]
     if np.any(spec.eta_prime(tw) > 1e-12):
         raise ConstructionError("tail monotonicity claim failed: eta' > 0 on tail window")
-    if abs(spec.mass - requested_mass) > 1e-10:
+    if abs(spec.mass - MASS) > 1e-10:
         raise ConstructionError(
-            f"mass claim failed: integral = {float(spec.mass)}, requested {requested_mass}")
+            f"mass claim failed: integral = {float(spec.mass)}, requested {MASS}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +232,8 @@ class QuadratureTable:
 
     ``first_antiderivative[i] = int_0^{grid[i]} eta`` and
     ``second_antiderivative[i] = int_0^{grid[i]} first_antiderivative``.
-    Between grid points the remainders are integrated on the fly with the
-    same Gauss-Legendre order, so evaluations are spectrally accurate for
+    Between grid points the remainders are integrated on the fly at
+    Gauss-Legendre ``ORDER``, so evaluations are spectrally accurate for
     smooth bumps.  Only points strictly inside the grid need a remainder,
     and each point's value is independent of the batch it is evaluated in.
     """
@@ -251,7 +243,6 @@ class QuadratureTable:
     first_antiderivative: np.ndarray
     second_antiderivative: np.ndarray
     tol: float
-    order: int
 
     @property
     def mass(self) -> float:
@@ -269,7 +260,7 @@ class QuadratureTable:
         out = np.where(x >= self.grid[-1], self.mass, 0.0)
         inside, idx = self._partial_panels(x)
         out[inside] = self.first_antiderivative[idx] + _gl(
-            self.bump.eta, self.grid[idx], x[inside], self.order)
+            self.bump.eta, self.grid[idx], x[inside], ORDER)
         return out if out.ndim else float(out)
 
     def antiderivative2(self, x):
@@ -281,13 +272,13 @@ class QuadratureTable:
         inside, idx = self._partial_panels(x)
         a, top = self.grid[idx], x[inside]  # each partial panel is [a, top]
         out[inside] = (self.second_antiderivative[idx] + self.first_antiderivative[idx] * (top - a)
-                       + _gl(lambda s: (top[:, None] - s) * self.bump.eta(s), a, top, self.order))
+                       + _gl(lambda s: (top[:, None] - s) * self.bump.eta(s), a, top, ORDER))
         return out if out.ndim else float(out)
 
 
-def build_table(bump: BumpSpec, cells_per_segment=24, order=24) -> QuadratureTable:
-    """Precompute cumulative integrals of the bump on an aligned panel grid."""
-    grid = _panel_edges(bump.segments, cells_per_segment)
+def build_table(bump: BumpSpec) -> QuadratureTable:
+    """Cumulative integrals of the bump on ``CELLS_PER_SEGMENT`` panels a segment."""
+    grid = _panel_edges(bump.segments, CELLS_PER_SEGMENT)
     a, b = grid[:-1], grid[1:]
 
     def cumulative(ordr):
@@ -300,14 +291,11 @@ def build_table(bump: BumpSpec, cells_per_segment=24, order=24) -> QuadratureTab
             p[i + 1] = p[i] + e[i] * (b[i] - a[i]) + moments[i]
         return e, p
 
-    e_hi, p_hi = cumulative(order)
-    e_lo, p_lo = cumulative(max(order // 2, 6))
+    e_hi, p_hi = cumulative(ORDER)
+    e_lo, p_lo = cumulative(ORDER // 2)
     tol = max(np.max(np.abs(e_hi - e_lo)), np.max(np.abs(p_hi - p_lo)))
-    return QuadratureTable(
-        bump=bump, grid=grid,
-        first_antiderivative=e_hi, second_antiderivative=p_hi,
-        tol=tol, order=order,
-    )
+    return QuadratureTable(bump=bump, grid=grid, first_antiderivative=e_hi,
+                           second_antiderivative=p_hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +395,14 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     return rho, delta
 
 
-def build_profile(neck_slope: float = REFERENCE_NECK_SLOPE, *, plateau=(1.0 / 16.0, 3.0 / 16.0),
-                  ceiling=64.0, mass=4.0, floor=16.0,
-                  cells_per_segment=24, order=24) -> ProfilePair:
-    """Construct the full certified profile pair for a given neck slope."""
-    eta = make_eta(plateau=plateau, ceiling=ceiling, mass=mass, floor=floor)
-    table = build_table(eta, cells_per_segment=cells_per_segment, order=order)
+def build_profile(neck_slope: float = REFERENCE_NECK_SLOPE) -> ProfilePair:
+    """Construct the certified profile pair; the neck slope is its one free value."""
+    eta = make_eta()
+    table = build_table(eta)
     r1 = compute_r1(eta)
     phi = make_phi(eta, r1, table)
     rho, delta = make_rho(eta, r1, neck_slope, table)
-    params = {"neck_slope": neck_slope, "plateau": list(plateau),
-              "ceiling": ceiling, "mass": mass, "floor": floor,
-              "cells_per_segment": cells_per_segment, "order": order}
-    return ProfilePair(rho=rho, phi=phi, r1=r1, delta=delta,
-                       neck_slope=neck_slope, build_params=params)
+    return ProfilePair(rho=rho, phi=phi, r1=r1, delta=delta, neck_slope=neck_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +460,11 @@ _SAMPLES = 33  # (rho, phi) samples stored on [0, r1 + 1]
 def save_profile(profile: ProfilePair, path: str) -> None:
     """Write a versioned JSON document from which the profile can be rebuilt.
 
-    Stores the construction parameters plus a sample grid of (rho, phi)
-    values; :func:`load_profile` rebuilds from the parameters and verifies
+    Stores the neck slope, the construction constants and a sample grid of
+    (rho, phi); :func:`load_profile` rebuilds from the neck slope and checks
     the samples, so a stale or edited file is rejected rather than trusted.
     """
-    if profile.build_params is None:
+    if profile.r1 is None:
         raise ValueError("only constructed profiles are serializable")
     rs = np.linspace(0.0, profile.r1 + 1.0, _SAMPLES)
     doc = {
@@ -491,7 +473,7 @@ def save_profile(profile: ProfilePair, path: str) -> None:
         "neck_slope": profile.neck_slope,
         "r1": profile.r1,
         "delta": profile.delta,
-        "construction": profile.build_params,
+        "construction": {"neck_slope": profile.neck_slope, **_CONSTRUCTION},
         "grid": rs.tolist(),
         "rho": profile.rho(rs).tolist(),
         "phi": profile.phi(rs).tolist(),
@@ -502,18 +484,15 @@ def save_profile(profile: ProfilePair, path: str) -> None:
 
 
 _DOC_KEYS = ("r1", "delta", "construction", "grid", "rho", "phi")
-# build_profile's keyword defaults give the shape and kind of each construction value
-_CONSTRUCTION = {name: np.asarray(p.default)
-                 for name, p in inspect.signature(build_profile).parameters.items()}
 
 
-def _numeric(key: str, value, shape=(), kinds: str = "iuf") -> np.ndarray:
+def _numeric(key: str, value, shape=()) -> np.ndarray:
     """``value`` as an array; ``ValueError`` naming ``key`` unless its numbers fit ``shape``.
 
-    ``shape`` None accepts any one-dimensional list; ``kinds`` are numpy dtype kinds.
+    ``shape`` None accepts any one-dimensional list.
     """
     arr = np.asarray(value)  # a ragged list raises ValueError here
-    if (arr.dtype.kind not in kinds
+    if (arr.dtype.kind not in "iuf"
             or (arr.ndim != 1 if shape is None else arr.shape != shape)):
         raise ValueError(f"profile key {key!r} is not numeric of the right shape: {value!r}")
     return arr
@@ -523,9 +502,10 @@ def load_profile(path: str) -> ProfilePair:
     """Rebuild a profile from its JSON document and verify the stored samples.
 
     Raises ``ValueError`` for a document of unrecognized format or version,
-    with a missing key, a construction key :func:`build_profile` does not
-    record, or a non-numeric value, and :class:`ConstructionError` when the
-    stored samples or constants disagree with the rebuilt profile.
+    with a missing key, a construction key or constant other than those
+    :func:`save_profile` writes, or a non-numeric value, and
+    :class:`ConstructionError` when the stored samples or constants
+    disagree with the rebuilt profile.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -538,16 +518,16 @@ def load_profile(path: str) -> ProfilePair:
     params = doc["construction"]
     if not isinstance(params, dict):
         raise ValueError(f"profile key 'construction' is not an object: {params!r}")
-    wrong = sorted(params.keys() ^ _CONSTRUCTION.keys())
+    expected = {"neck_slope", *_CONSTRUCTION}
+    wrong = sorted(params.keys() ^ expected)
     if wrong:
-        raise ValueError(f"profile construction keys {wrong} differ from "
-                         f"{sorted(_CONSTRUCTION)}")
-    for key, default in _CONSTRUCTION.items():
-        _numeric(f"construction.{key}", params[key], default.shape,
-                 "iu" if default.dtype.kind == "i" else "iuf")
+        raise ValueError(f"profile construction keys {wrong} differ from {sorted(expected)}")
+    for key, value in _CONSTRUCTION.items():
+        if params[key] != value:
+            raise ValueError(f"profile key 'construction.{key}' is {params[key]!r}, not {value!r}")
+    neck_slope = float(_numeric("construction.neck_slope", params["neck_slope"]))
     r1, delta = (float(_numeric(key, doc[key])) for key in ("r1", "delta"))
-    params = dict(params, plateau=tuple(params["plateau"]))
-    profile = build_profile(**params)
+    profile = build_profile(neck_slope)
     rs = _numeric("grid", doc["grid"], None).astype(float)
     for key, fn in (("rho", profile.rho), ("phi", profile.phi)):
         stored = _numeric(key, doc[key], rs.shape).astype(float)

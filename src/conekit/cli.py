@@ -73,8 +73,7 @@ def _write_reports(reports: list[VerificationReport], args: argparse.Namespace,
 
 
 def cmd_build_profile(args: argparse.Namespace) -> int:
-    profile = bump.build_profile(args.neck_slope, mass=args.mass,
-                                 ceiling=args.ceiling)
+    profile = bump.build_profile(args.neck_slope)
     bump.save_profile(profile, os.path.join(args.out, "profile.json"))
     report = bump.smoothness_check(profile)
     _write_reports([report], args, "smoothness")
@@ -139,7 +138,8 @@ def cmd_obstruction(args: argparse.Namespace) -> int:
     if args.b3 is not None:
         data = betti_constraints((1, 0, 0, args.b3, 0))
     else:
-        data = TopologicalData(chi=Fraction(args.chi), tau=Fraction(args.tau))
+        data = TopologicalData(chi=Fraction(1 if args.chi is None else args.chi),
+                               tau=Fraction(args.tau or 0))
     names = list(GROUPS) if args.group == "both" else [args.group]
     for name in names:
         group = GROUPS[name]
@@ -161,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-profile", parents=[output],
                        help="construct and certify a profile")
     p.add_argument("--neck-slope", type=float, default=bump.REFERENCE_NECK_SLOPE)
-    p.add_argument("--mass", type=float, default=4.0)
-    p.add_argument("--ceiling", type=float, default=64.0)
     p.set_defaults(command=cmd_build_profile)
 
     p = sub.add_parser("verify", parents=[output],
@@ -188,9 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(command=cmd_collapse)
 
     p = sub.add_parser("obstruction", help="exact-rational obstruction report")
-    p.add_argument("--chi", type=int, default=1)
-    p.add_argument("--tau", type=int, default=0)
-    p.add_argument("--b3", type=int)
+    p.add_argument("--chi", type=int, help="Euler characteristic (default 1)")
+    p.add_argument("--tau", type=int, help="signature (default 0)")
+    p.add_argument("--b3", type=int,
+                   help="third Betti number of the filling; sets chi = 1 - b3 and tau = 0")
     p.add_argument("--group", default="both",
                    choices=["both", *GROUPS.keys()])
     p.set_defaults(command=cmd_obstruction)
@@ -205,9 +204,11 @@ def _check_args(args: argparse.Namespace) -> None:
     """
     if getattr(args, "grid", 64) < 64:
         raise ValueError("--grid must be at least 64")
-    for name in ("tol", "rmax", "neck_slope", "mass", "ceiling"):
+    for name in ("tol", "rmax", "neck_slope"):
         if not 0 < getattr(args, name, 1.0) < float("inf"):  # NaN fails too
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
+    if getattr(args, "b3", None) is not None and (args.chi, args.tau) != (None, None):
+        raise ValueError("--b3 fixes chi and tau; it cannot be combined with --chi or --tau")
     if hasattr(args, "eps"):
         try:
             args.eps = tuple(float(x) for x in args.eps.split(",") if x.strip())

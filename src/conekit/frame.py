@@ -7,13 +7,13 @@ The metric is ``g = dr^2 + rho^2 (phi^2 s1^2 + s2^2 + s3^2)`` where
     e0 = d/dr,  e1 = X1/(rho*phi),  e2 = X2/rho,  e3 = X3/rho.
 
 The module holds the closed-form Ricci diagonal (:func:`ricci_diag`,
-:func:`ricci_curve`), the Koszul connection, the finite-difference
-Riemann-tensor oracle (:func:`curvature_from_forms`) and
-:func:`metric_eval`.  The oracle derives the Levi-Civita connection from
-the frame brackets (Koszul formula), differentiates it by central finite
-differences in r, assembles the Riemann tensor from ``O = d w + w ^ w``
-and contracts.  It never touches second derivatives of the profile
-analytically, so it serves as a numeric oracle for the closed forms.
+:func:`ricci_curve`), the Koszul connection and the finite-difference
+Riemann-tensor oracle (:func:`curvature_from_forms`).  The oracle derives
+the Levi-Civita connection from the frame brackets (Koszul formula),
+differentiates it by central finite differences in r, assembles the
+Riemann tensor from ``O = d w + w ^ w`` and contracts.  It never touches
+second derivatives of the profile analytically, so it serves as a numeric
+oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "ricci_diag",
     "ricci_curve",
     "curvature_from_forms",
-    "metric_eval",
 ]
 
 
@@ -97,21 +96,6 @@ def ricci_diag(profile: ProfilePair, r: float) -> RicciDiag:
     """
     vals = ricci_curve(profile, float(r))[:, 0]
     return RicciDiag(*vals)
-
-
-def metric_eval(profile: ProfilePair, r: float, v) -> float:
-    """Squared length of tangent components (a0, a1, a2, a3) in the X-frame.
-
-    Returns ``a0^2 + rho^2 phi^2 a1^2 + rho^2 (a2^2 + a3^2)``.
-    """
-    a = np.asarray(v, dtype=float)
-    if a.shape != (4,):
-        raise ValueError("expected 4 tangent components")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite tangent components")
-    rho = profile.rho(r)
-    phi = profile.phi(r)
-    return float(a[0]**2 + rho**2 * (phi**2 * a[1]**2 + a[2]**2 + a[3]**2))
 
 
 # ---------------------------------------------------------------------------

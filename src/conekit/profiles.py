@@ -17,11 +17,7 @@ import numpy as np
 __all__ = [
     "RadialFunction",
     "ProfilePair",
-    "flat_profile",
     "round_profile",
-    "berger_profile",
-    "cone_profile",
-    "polynomial_radial",
     "constant_radial",
     "sinusoid_radial",
     "random_smooth_profile",
@@ -61,14 +57,6 @@ def constant_radial(value: float) -> RadialFunction:
     return RadialFunction([lambda r: np.full_like(r, value), zero, zero, zero])
 
 
-def polynomial_radial(coeffs: Sequence[float]) -> RadialFunction:
-    """Polynomial in r from low-order coefficients, e.g. [1, 1] for 1 + r."""
-    polys = [np.polynomial.Polynomial(list(coeffs))]
-    for _ in range(3):
-        polys.append(polys[-1].deriv())
-    return RadialFunction(polys)
-
-
 def sinusoid_radial(a0: float, a1: float, omega: float, phase: float) -> RadialFunction:
     """``a0 + a1*sin(omega*r + phase)`` with analytic derivatives."""
 
@@ -88,10 +76,9 @@ class ProfilePair:
     """The radial warping pair (rho, phi) plus construction constants.
 
     ``r1``, ``delta`` and ``neck_slope`` are populated by the profile
-    builder; analytic fixtures leave them as None.  ``build_params``
-    records the builder arguments so a constructed profile can be
-    serialized and rebuilt bit-compatibly.  Instances are immutable and
-    safe to share across threads.
+    builder; analytic profiles leave them as None, and only a profile with
+    ``r1`` is serializable.  Instances are immutable and safe to share
+    across threads.
     """
 
     rho: RadialFunction
@@ -99,7 +86,6 @@ class ProfilePair:
     r1: float | None = None
     delta: float | None = None
     neck_slope: float | None = None
-    build_params: dict | None = None
 
     def rescale(self, eps: float) -> "ProfilePair":
         """The profile of the rescaled metric ``eps^2 * g``.
@@ -125,35 +111,13 @@ class ProfilePair:
             phi=RadialFunction([phi_k(k) for k in range(4)]),
             r1=None,
             delta=None,
-            build_params=None,
         )
-
-
-def flat_profile() -> ProfilePair:
-    """rho = r, phi = 1: the flat cone over the round 3-sphere (R^4)."""
-    return ProfilePair(rho=polynomial_radial([0.0, 1.0]),
-                       phi=constant_radial(1.0))
 
 
 def round_profile() -> ProfilePair:
     """rho = 1, phi = 1: the product metric dr^2 + (unit round S^3)."""
     return ProfilePair(rho=constant_radial(1.0),
                        phi=constant_radial(1.0))
-
-
-def berger_profile(t: float) -> ProfilePair:
-    """rho = 1, phi = t: cylinder over a Berger sphere with fiber scale t."""
-    return ProfilePair(rho=constant_radial(1.0),
-                       phi=constant_radial(t))
-
-
-def cone_profile(slope: float) -> ProfilePair:
-    """rho = slope*r, phi = 1: the exact metric cone over (S^3, slope^2 * round)."""
-    if slope <= 0:
-        raise ValueError("cone slope must be positive")
-    return ProfilePair(rho=polynomial_radial([0.0, slope]),
-                       phi=constant_radial(1.0),
-                       neck_slope=slope)
 
 
 def random_smooth_profile(rng: np.random.Generator) -> ProfilePair:

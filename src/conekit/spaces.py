@@ -496,7 +496,8 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
 
     For each scale eps the metric ``eps^2 g`` is compared with the exact
     cone over the round quotient link at slope ``c = profile.neck_slope`` on
-    a sample of the annulus [eps, r_outer].  Beyond the tail start
+    a sample of the annulus [eps, r_outer], so ``r_outer`` must exceed the
+    largest eps (ValueError otherwise).  Beyond the tail start
     ``eps*(r1 + 1/4)`` the build certifies ``phi = 1`` and
     ``rho_eps(r) = c*r + eps*b``, so there ``eps^2 g`` is the same cone with
     its apex shifted by ``eps*b/c``.  When ``_tail_margins`` shows that no
@@ -528,6 +529,9 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         raise ValueError("eps values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    if not r_outer > eps_arr[0]:  # NaN fails too
+        raise ValueError(f"r_outer = {r_outer!r} must exceed the largest eps {eps_arr[0]!r}: "
+                         "the annulus [eps, r_outer] would be empty or reversed")
     if profile.neck_slope is None or profile.r1 is None:
         raise ValueError("profile needs a neck_slope and r1 for the cone comparison")
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bump import CEILING, FLOOR
 from .frame import ricci_curve
 from .profiles import ProfilePair, scale_phi
 from .reports import BoundCheck, VerificationReport
@@ -108,8 +109,9 @@ def _declared_bounds(region: Region, profile: ProfilePair) -> list:
     have_constants = (profile.r1 is not None and profile.delta is not None
                       and profile.neck_slope is not None)
     if region.label == "Part2" and have_constants:
-        slack = 192.0 * profile.delta + 2.0 * profile.neck_slope / profile.r1
-        specific["r00"] = (16.0 - slack, "16 - (192*delta + 2*neck_slope/r1)")
+        # -3 rho''/rho >= -3*CEILING*delta and -phi''/phi >= FLOOR here
+        slack = 3.0 * CEILING * profile.delta + 2.0 * profile.neck_slope / profile.r1
+        specific["r00"] = (FLOOR - slack, "16 - (192*delta + 2*neck_slope/r1)")
     if region.label == "Part4" and have_constants:
         c2 = profile.neck_slope ** 2
         for name in ("r11", "r22", "r33"):
@@ -129,9 +131,9 @@ def _proof_quantity_checks(region: Region, profile: ProfilePair,
         checks.append(BoundCheck("rho''_min", float(rho2.min()), 0.0,
                                  "min_ge", tol))
         checks.append(BoundCheck("rho''_max", float(rho2.max()),
-                                 64.0 * profile.delta, "max_le", tol,
+                                 CEILING * profile.delta, "max_le", tol,
                                  bound_expr="64*delta"))
-        checks.append(BoundCheck("phi''_max", float(phi2.max()), -16.0,
+        checks.append(BoundCheck("phi''_max", float(phi2.max()), -FLOOR,
                                  "max_le", tol))
     if region.label == "Part3":
         phi1 = profile.phi(radii, 1)

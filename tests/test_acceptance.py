@@ -13,10 +13,12 @@ import pytest
 from conekit import bump
 from conekit.frame import curvature_from_forms, ricci_diag
 from conekit.obstruction import GROUPS, TopologicalData, hitchin_check
-from conekit.profiles import flat_profile, random_smooth_profile, round_profile
+from conekit.profiles import random_smooth_profile, round_profile
 from conekit.quaternions import Q8, qmul, random_unit
 from conekit.spaces import collapse_experiment, sample_annulus, sample_sphere, weigh
 from conekit.verify import standard_regions, verify_nonneg, verify_region
+
+from analytic import flat_profile
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

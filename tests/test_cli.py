@@ -43,19 +43,13 @@ def test_build_profile_writes_artifacts(built):
     assert doc["format"] == "conekit-profile"
 
 
-def test_build_profile_infeasible_mass(tmp_path, capsys):
-    code = main(["build-profile", "--out", str(tmp_path), "--mass", "20"])
-    assert code == 1
-    assert "mass" in capsys.readouterr().err
-
-
 def test_build_profile_missing_out_dir(tmp_path):
     code = main(["build-profile", "--out", str(tmp_path / "absent")])
     assert code == 2
 
 
 @pytest.mark.parametrize("value", ["0", "nan", "inf"])
-@pytest.mark.parametrize("flag", ["--neck-slope", "--mass"])
+@pytest.mark.parametrize("flag", ["--neck-slope"])
 def test_build_profile_rejects_nonpositive(tmp_path, capsys, flag, value):
     code = main(["build-profile", "--out", str(tmp_path), flag, value])
     assert code == 2
@@ -79,6 +73,8 @@ def test_neck_slope_at_least_one_is_a_construction_failure(tmp_path, capsys,
     ["build-profile", "--grid", "1024"],
     ["build-profile", "--seed", "3"],
     ["build-profile", "--rmax", "3"],
+    ["build-profile", "--mass", "4"],
+    ["build-profile", "--ceiling", "64"],
     ["verify", "--profile", "profile.json", "--seed", "3"],
     ["verify", "--profile", "profile.json", "--neck-slope", "0.5"],
     ["collapse", "--tol", "1e-9"],
@@ -186,7 +182,10 @@ def test_verify_unknown_profile_version_is_an_input_error(built, tmp_path, capsy
     (lambda doc: doc.pop("grid"), "grid"),
     (lambda doc: doc["construction"].update(bogus=1.0), "bogus"),
     (lambda doc: doc["construction"].update(order="24"), "order"),
-], ids=["missing-grid", "extra-construction-key", "string-order"])
+    (lambda doc: doc["construction"].update(ceiling=100.0), "ceiling"),
+    (lambda doc: doc["construction"].update(neck_slope="1e-9"), "neck_slope"),
+], ids=["missing-grid", "extra-construction-key", "string-order", "other-ceiling",
+        "string-neck-slope"])
 def test_verify_malformed_profile_is_an_input_error(built, tmp_path, capsys,
                                                     edit, key):
     path, out = _edited_profile(built, tmp_path, edit)
@@ -250,6 +249,15 @@ def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
                  "--seed", "1"])
     assert code == 2
     assert "tail premise fails at eps = 1.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rmax", ["1.0", "0.5"])
+def test_collapse_rmax_must_exceed_the_largest_eps(tmp_path, capsys, rmax):
+    # at 1.0 the eps = 1 annulus [1, 1] has zero width; at 0.5 it is reversed
+    code = main(["collapse", "--out", str(tmp_path), "--n", "60", "--rmax", rmax])
+    assert code == 2
+    assert f"r_outer = {rmax} must exceed the largest eps 1.0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -343,6 +351,15 @@ def test_obstruction_from_betti(capsys):
     assert "contradiction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("given", [["--chi", "5"], ["--tau", "2"], ["--chi", "5", "--tau", "2"]],
+                         ids=["chi", "tau", "chi-tau"])
+def test_obstruction_b3_excludes_chi_and_tau(capsys, given):
+    assert main(["obstruction", *given, "--b3", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--b3 fixes chi and tau" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -360,7 +377,7 @@ def test_entry_point_exit_codes(tmp_path):
     assert run("frobnicate") == 2
     assert run("verify", "--profile", "profile.json", "--out", ".",
                "--grid", "10") == 2
-    assert run("build-profile", "--out", ".", "--mass", "20") == 1
+    assert run("build-profile", "--out", ".", "--neck-slope", "2") == 1
 
 
 def test_only_collapse_loads_scipy(tmp_path):

@@ -9,20 +9,18 @@ from conekit.frame import (
     _bracket_table,
     _koszul,
     curvature_from_forms,
-    metric_eval,
     ricci_curve,
     ricci_diag,
 )
 from conekit.profiles import (
     ProfilePair,
-    berger_profile,
-    cone_profile,
     constant_radial,
-    flat_profile,
     random_smooth_profile,
     round_profile,
     scale_phi,
 )
+
+from analytic import berger_profile, cone_profile, flat_profile, metric_eval
 
 
 def test_flat_cone_is_ricci_flat():

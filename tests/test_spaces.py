@@ -24,6 +24,8 @@ from conekit.spaces import (
     weigh,
 )
 
+from analytic import berger_profile, cone_profile, metric_eval
+
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I_Q = np.array([0.0, 1.0, 0.0, 0.0])
 DEEP = np.array([0.5, 0.5, 0.5, 0.5])
@@ -105,7 +107,6 @@ def test_round_edge_matches_quotient_distance():
 def test_edge_length_matches_metric_eval():
     # for a purely angular chord the edge weight is the metric norm of the
     # coframe components of the quaternion logarithm
-    from conekit.frame import metric_eval
     from conekit.quaternions import qconj, qlog_vec
 
     rng = np.random.default_rng(21)
@@ -121,7 +122,7 @@ def test_berger_fiber_collapse_diameter():
     # shrinking the Hopf fiber collapses the fixed-radius sphere onto the
     # half-radius base 2-sphere (diameter pi/2); graph stretch keeps the
     # estimate a few percent high
-    diams = [sample_sphere(profiles.berger_profile(t), 1.0, 1500, seed=4,
+    diams = [sample_sphere(berger_profile(t), 1.0, 1500, seed=4,
                            group="trivial").diameter()
              for t in (0.3, 0.04)]
     assert diams[1] < diams[0]
@@ -409,7 +410,7 @@ def test_gh_identity_is_zero(lab_profile):
 def test_gh_symmetry(lab_profile):
     radii, quats = spaces._draw_points(2, 90, 1.0, 3.0, "q8")
     a = space_from_points(lab_profile, radii, quats).dist
-    b = space_from_points(profiles.cone_profile(0.05), radii, quats).dist
+    b = space_from_points(cone_profile(0.05), radii, quats).dist
     assert gh_upper_bound(a, b) == gh_upper_bound(b, a)
 
 
@@ -481,6 +482,8 @@ def test_collapse_validation(monkeypatch, lab_profile):
         collapse_experiment(lab_profile, (1.0, 0.5, 0.25, 0.125), n=49)
     with pytest.raises(ValueError):
         collapse_experiment(lab_profile, ())
+    with pytest.raises(ValueError, match="r_outer = 1.0 must exceed the largest eps 1.0"):
+        collapse_experiment(lab_profile, (1.0, 0.5), n=100, r_outer=1.0)
     with pytest.raises(ValueError):
         collapse_experiment(lab_profile, (0.5, 1.0), n=100)
     with pytest.raises(ValueError):
@@ -488,7 +491,7 @@ def test_collapse_validation(monkeypatch, lab_profile):
     with pytest.raises(ValueError):
         collapse_experiment(profiles.round_profile(), (1.0, 0.5), n=100)
     with pytest.raises(ValueError, match="r1"):
-        collapse_experiment(profiles.cone_profile(0.05), (1.0, 0.5), n=100)
+        collapse_experiment(cone_profile(0.05), (1.0, 0.5), n=100)
     assert len(forks) == 0
 
 

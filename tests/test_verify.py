@@ -5,7 +5,7 @@ import pytest
 
 from conekit.frame import ricci_curve
 from conekit import verify
-from conekit.profiles import flat_profile, round_profile
+from conekit.profiles import round_profile
 from conekit.verify import (
     _MAX_BISECTIONS,
     R_FLOOR,
@@ -16,6 +16,8 @@ from conekit.verify import (
     verify_nonneg,
     verify_region,
 )
+
+from analytic import flat_profile
 
 
 def test_regions_tile_the_interval(reference_profile):
