@@ -14,6 +14,17 @@ differentiates it by central finite differences in r, assembles the
 Riemann tensor from ``O = d w + w ^ w`` and contracts.  It never touches
 second derivatives of the profile analytically, so it serves as a numeric
 oracle for the closed forms.
+
+Each call makes one pass over the profile.  :func:`ricci_curve` evaluates
+the six profile values once per call; a scalar radius stays 0-d, so they
+are Python floats and no array is built until the result.  The oracle
+evaluates rho, phi and their slopes once on its whole stencil
+``[r, r + h, r - h]`` (plus ``r +- h/2`` for the step check) and builds
+every bracket table and connection as one batch with a leading stencil
+axis.  Squares are written as products (``rho * rho``, never ``rho**2``):
+Python's float ``**`` calls libm ``pow``, which can differ from ``x * x``
+in the last bit, while numpy's array ``**2`` is ``x * x``.  So a radius
+gets the same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -55,36 +66,64 @@ class RicciDiag:
         return np.array([self.r00, self.r11, self.r22, self.r33])
 
 
-def _check_positive(name: str, value, r) -> None:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise FrameDomainError(f"{name} is not finite at r={r!r}")
-    if np.any(arr == 0.0):
-        raise FrameDomainError(f"{name} vanishes at r={r!r}")
+def _where(r: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The radii at which ``mask`` holds, for an error message."""
+    return r.reshape(mask.shape)[mask]
+
+
+def _check_positive(name: str, value, r: np.ndarray) -> None:
+    arr = np.asarray(value)
+    finite = np.isfinite(arr)
+    if finite.all() and arr.all():
+        return
+    if not finite.all():
+        raise FrameDomainError(f"{name} is not finite at r={_where(r, ~finite)!r}")
+    raise FrameDomainError(f"{name} vanishes at r={_where(r, arr == 0.0)!r}")
+
+
+def _frame_scales(profile: ProfilePair, r: np.ndarray, orders: int):
+    """rho and phi with their first ``orders - 1`` derivatives at r, checked.
+
+    Raises :class:`FrameDomainError` at a non-finite radius and where rho
+    or phi is non-finite or zero, naming only the offending radii.
+    """
+    finite = np.isfinite(r)
+    if not finite.all():
+        raise FrameDomainError(f"radius is not finite at r={_where(r, ~finite)!r}")
+    rho = [profile.rho(r, k) for k in range(orders)]
+    phi = [profile.phi(r, k) for k in range(orders)]
+    _check_positive("rho", rho[0], r)
+    _check_positive("phi", phi[0], r)
+    return rho, phi
 
 
 def ricci_curve(profile: ProfilePair, r) -> np.ndarray:
     """Closed-form Ricci diagonal on an array of radii; returns shape (4, n).
 
-    Rows are (r00, r11, r22, r33).  Pure function of the profile values, so
-    grid evaluation may be partitioned arbitrarily across workers.
+    Rows are (r00, r11, r22, r33); a scalar radius gives shape (4, 1).  A
+    radius gets the same values in any batch, so grid evaluation may be
+    partitioned arbitrarily across workers.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    rho, rho1, rho2 = (profile.rho(r, k) for k in range(3))
-    phi, phi1, phi2 = (profile.phi(r, k) for k in range(3))
-    _check_positive("rho", rho, r)
-    _check_positive("phi", phi, r)
-
-    mixed = rho1 * phi1 / (rho * phi)
-    r00 = -(3 * rho2 / rho + phi2 / phi + 2 * mixed)
-    r11 = -(rho2 / rho + phi2 / phi + 4 * mixed
-            - 2 * phi**2 / rho**2 + 2 * rho1**2 / rho**2)
-    r22 = (-rho2 / rho - mixed
-           + 4 / rho**2 - 2 * phi**2 / rho**2 - 2 * rho1**2 / rho**2)
-    out = np.stack([r00, r11, r22, r22])
-    if not np.all(np.isfinite(out)):
-        bad = r[~np.all(np.isfinite(out), axis=0)]
-        raise FrameDomainError(f"non-finite Ricci entries at r={bad!r}")
+    r = np.asarray(r, dtype=float)
+    (rho, rho1, rho2), (phi, phi1, phi2) = _frame_scales(profile, r, 3)
+    try:
+        rho_sq = rho * rho
+        phi_sq = phi * phi
+        slope_sq = rho1 * rho1
+        mixed = rho1 * phi1 / (rho * phi)
+        r00 = -(3 * rho2 / rho + phi2 / phi + 2 * mixed)
+        r11 = -(rho2 / rho + phi2 / phi + 4 * mixed
+                - 2 * phi_sq / rho_sq + 2 * slope_sq / rho_sq)
+        r22 = (-rho2 / rho - mixed
+               + 4 / rho_sq - 2 * phi_sq / rho_sq - 2 * slope_sq / rho_sq)
+    except ZeroDivisionError:
+        # Python floats of a scalar radius, where an array would hold inf
+        raise FrameDomainError(f"non-finite Ricci entries at r={r.reshape(1)!r}") from None
+    out = np.array([r00, r11, r22, r22]).reshape(4, *(r.shape or (1,)))
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = ~finite.all(axis=0)
+        raise FrameDomainError(f"non-finite Ricci entries at r={_where(r, bad)!r}")
     return out
 
 
@@ -94,8 +133,7 @@ def ricci_diag(profile: ProfilePair, r: float) -> RicciDiag:
     Raises :class:`FrameDomainError` when rho or phi vanishes at r (the
     frame degenerates there) or when an entry comes out non-finite.
     """
-    vals = ricci_curve(profile, float(r))[:, 0]
-    return RicciDiag(*vals)
+    return RicciDiag(*ricci_curve(profile, float(r))[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -108,66 +146,78 @@ for _i, _j, _k, _s in [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
     _EPS3[_i, _j, _k] = _s
 
 
-def _bracket_table(profile: ProfilePair, r: float) -> np.ndarray:
-    """c[i, j, k] = <[e_i, e_j], e_k> from the frame scales and their slopes."""
-    rho = profile.rho(r)
-    phi = profile.phi(r)
-    _check_positive("rho", rho, r)
-    _check_positive("phi", phi, r)
-    rho1 = profile.rho(r, 1)
-    phi1 = profile.phi(r, 1)
-    s = np.array([1.0, rho * phi, rho, rho])
-    s1 = np.array([0.0, rho1 * phi + rho * phi1, rho1, rho1])
+def _bracket_table(profile: ProfilePair, r) -> np.ndarray:
+    """c[..., i, j, k] = <[e_i, e_j], e_k> from the frame scales and their slopes.
+
+    The leading axes are those of r: a scalar gives (4, 4, 4), a stencil of
+    m radii (m, 4, 4, 4).
+    """
+    r = np.asarray(r, dtype=float)
+    (rho, rho1), (phi, phi1) = _frame_scales(profile, r, 2)
+    s = np.empty(r.shape + (4,))
+    s[..., 0] = 1.0
+    s[..., 1] = rho * phi
+    s[..., 2] = s[..., 3] = rho
+    # s_a' / s_a for a = 1, 2, 3
+    log_slope = np.empty(r.shape + (3,))
+    log_slope[..., 0] = rho1 * phi + rho * phi1
+    log_slope[..., 1] = log_slope[..., 2] = rho1
+    log_slope /= s[..., 1:]
 
     # [e_a, e_b] = 2 eps_abk s_k / (s_a s_b) e_k and [e_0, e_a] = -(s_a' / s_a) e_a
-    c = 2.0 * _EPS3 * s / np.multiply.outer(s, s)[:, :, None]
+    c = 2.0 * _EPS3 * s[..., None, None, :] / (s[..., :, None] * s[..., None, :])[..., None]
     a = np.arange(1, 4)
-    c[0, a, a] = -s1[a] / s[a]
-    c[a, 0, a] = s1[a] / s[a]
+    c[..., 0, a, a] = -log_slope
+    c[..., a, 0, a] = log_slope
     return c
 
 
 def _koszul(c: np.ndarray) -> np.ndarray:
-    """gamma[i, j, k] = <nabla_{e_i} e_j, e_k> for an orthonormal frame."""
+    """gamma[..., i, j, k] = <nabla_{e_i} e_j, e_k> for an orthonormal frame."""
     # 2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>
     # i.e. gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
-    return 0.5 * (c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0)))
+    # c.swapaxes(-1, -2).swapaxes(-2, -3)[..., i, j, k] = c[..., j, k, i], and
+    # the other pair of swaps gives c[..., k, i, j]
+    return 0.5 * (c - c.swapaxes(-1, -2).swapaxes(-2, -3)
+                  + c.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
-def _riemann(profile: ProfilePair, r: float, h: float) -> np.ndarray:
-    """R[p, q, j, k] = O_j^k(e_p, e_q), the curvature 2-forms on frame pairs.
+def _riemann(profile: ProfilePair, r: float, steps: list) -> np.ndarray:
+    """R[s, p, q, j, k] = O_j^k(e_p, e_q) with the radial derivative by step steps[s].
 
     ``w_j^k(e_p) = gamma[p, j, k]`` and ``dw(e_p, e_q) = e_p w(e_q) - e_q w(e_p)
-    - w([e_p, e_q])``, where only e_0 = d/dr moves the coefficients (step h).
+    - w([e_p, e_q])``, where only e_0 = d/dr moves the coefficients.  One
+    bracket table covers the stencil ``[r, r + steps, r - steps]``.
     """
-    c = _bracket_table(profile, r)
+    n = len(steps)
+    c = _bracket_table(profile, r + np.array([0.0, *steps, *(-h for h in steps)]))
     gamma = _koszul(c)
-    dgamma = (_koszul(_bracket_table(profile, r + h))
-              - _koszul(_bracket_table(profile, r - h))) / (2.0 * h)
-    d = -np.einsum("pql,ljk->pqjk", c, gamma)
-    d[0] += dgamma
-    d[:, 0] -= dgamma
+    width = np.array([2.0 * h for h in steps])[:, None, None, None]
+    dgamma = (gamma[1:n + 1] - gamma[n + 1:]) / width
+    c, gamma = c[0], gamma[0]
+    d = np.repeat(-np.einsum("pql,ljk->pqjk", c, gamma)[None], n, axis=0)
+    d[:, 0] += dgamma
+    d[:, :, 0] -= dgamma
     # (w_j^l ^ w_l^k)(e_p, e_q)
     quad = np.einsum("pjl,qlk->pqjk", gamma, gamma)
     return d - (quad - quad.transpose(1, 0, 2, 3))
 
 
-def _ricci(R: np.ndarray) -> RicciDiag:
-    """Ricci diagonal ``Ric(e_l, e_l) = sum_{k != l} O_k^l(e_l, e_k)``.
+# Ricci term indices: _RIC_A[l, i], _RIC_B[l, i] = sorted((k, l)) for the
+# i-th k != l in ascending order
+_RIC_A, _RIC_B = np.array([[sorted((k, l)) for k in range(4) if k != l]
+                           for l in range(4)]).transpose(2, 0, 1)
 
-    Each term is read as ``-R[a, b, a, b]`` with ``(a, b) = sorted((k, l))``
+
+def _ricci(R: np.ndarray) -> np.ndarray:
+    """Ricci diagonal ``Ric(e_l, e_l) = sum_{k != l} O_k^l(e_l, e_k)``, shape (..., 4).
+
+    Each term is read as ``-R[..., a, b, a, b]`` with ``(a, b) = sorted((k, l))``
     and summed from 0.0 in ascending k; this order fixes the last bit.  The
     sign is pinned by the fixtures (flat cone zero, round cylinder 0, 2, 2, 2).
     """
-    diag = []
-    for l in range(4):
-        total = 0.0
-        for k in range(4):
-            if k != l:
-                a, b = sorted((k, l))
-                total -= R[a, b, a, b]
-        diag.append(total)
-    return RicciDiag(*diag)
+    terms = R[..., _RIC_A, _RIC_B, _RIC_A, _RIC_B]
+    return 0.0 - terms[..., 0] - terms[..., 1] - terms[..., 2]
 
 
 # largest move of the Ricci entries between steps h and h/2 the oracle accepts
@@ -182,15 +232,17 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
     ----------
     profile : ProfilePair
     r : float
-        Radius; must satisfy r - h > 0 so the central stencil stays in domain.
+        Finite radius; must satisfy r - h > 0 so the central stencil stays
+        in domain.
     h : float
         Central-difference step for the radial derivative of the connection
         coefficients.  Must be small against the variation scale of the
         profile; quadrature-built profiles want h ~ 1e-5.
     check_step : bool
-        When True, re-evaluates at h/2 and raises :class:`OracleStepError`
-        if the Ricci entries move by more than 1e-6; a too-coarse
-        step is reported, never silently accepted.
+        When True, also evaluates at h/2 (in the same stencil batch) and
+        raises :class:`OracleStepError` if the Ricci entries move by more
+        than 1e-6 or by NaN; a too-coarse step is reported, never silently
+        accepted.
 
     Returns
     -------
@@ -198,17 +250,16 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
         ``R`` is the (4, 4, 4, 4) array ``R[p, q, j, k] = O_j^k(e_p, e_q)``;
         the full Ricci tensor is ``np.einsum("mkkl->lm", R)``.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h}")
     if r - h <= 0:
         raise FrameDomainError(f"need r - h > 0, got r={r}, h={h}")
-    R = _riemann(profile, r, h)
+    R = _riemann(profile, r, [h, h / 2] if check_step else [h])
     ric = _ricci(R)
     if check_step:
-        ric_half = _ricci(_riemann(profile, r, h / 2))
-        drift = np.max(np.abs(ric.as_array() - ric_half.as_array()))
-        if drift > _STEP_TOL:
+        drift = np.max(np.abs(ric[0] - ric[1]))
+        if not drift <= _STEP_TOL:
             raise OracleStepError(
                 f"step h={h} too coarse at r={r}: Ricci moved by {drift:.3e} "
                 f"between h and h/2 (tolerance {_STEP_TOL:.1e})")
-    return R, ric
+    return R[0], RicciDiag(*ric[0])

@@ -1,5 +1,7 @@
 """Closed-form curvature against hand-derived values and the forms oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,20 @@ from conekit.frame import (
 )
 from conekit.profiles import (
     ProfilePair,
+    RadialFunction,
     constant_radial,
     random_smooth_profile,
     round_profile,
     scale_phi,
 )
 
-from analytic import berger_profile, cone_profile, flat_profile, metric_eval
+from analytic import (
+    berger_profile,
+    cone_profile,
+    flat_profile,
+    metric_eval,
+    polynomial_radial,
+)
 
 
 def test_flat_cone_is_ricci_flat():
@@ -61,6 +70,56 @@ def test_ricci_domain_error_names_factor():
     p = ProfilePair(rho=flat_profile().rho, phi=constant_radial(1.0))
     with pytest.raises(FrameDomainError, match="rho"):
         ricci_diag(p, 0.0)
+
+
+def test_domain_error_names_only_the_offending_radii(reference_profile):
+    # a verify grid that touches the axis names the axis, not the grid
+    with pytest.raises(FrameDomainError) as info:
+        ricci_curve(reference_profile, np.linspace(0.0, 3.0, 4096))
+    assert str(info.value) == "phi vanishes at r=array([0.])"
+    # the oracle checks its whole stencil [r, r + h, r - h] at once
+    p = ProfilePair(rho=constant_radial(1.0), phi=polynomial_radial([1.0, -1.0]))
+    with pytest.raises(FrameDomainError) as info:
+        curvature_from_forms(p, 0.75, h=0.25, check_step=False)
+    assert str(info.value) == "phi vanishes at r=array([1.])"
+
+
+def test_non_finite_radius_is_a_domain_error():
+    # the round profile is constant, so nothing downstream would notice
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(FrameDomainError, match="radius is not finite"):
+            ricci_diag(round_profile(), r)
+        for check_step in (True, False):
+            with pytest.raises(FrameDomainError, match="radius is not finite"):
+                curvature_from_forms(round_profile(), r, check_step=check_step)
+    with pytest.raises(FrameDomainError,
+                       match=re.escape("radius is not finite at r=array([nan])")):
+        ricci_curve(round_profile(), np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(FrameDomainError):
+        curvature_from_forms(round_profile(), float("-inf"))
+
+
+def test_underflowing_square_is_a_domain_error():
+    # rho * rho underflows to 0; the Python floats of a scalar radius
+    # would raise ZeroDivisionError where an array holds inf
+    p = ProfilePair(rho=constant_radial(1e-200), phi=constant_radial(1.0))
+    with pytest.raises(FrameDomainError,
+                       match=re.escape("non-finite Ricci entries at r=array([1.])")):
+        ricci_diag(p, 1.0)
+
+
+def test_ricci_diag_matches_the_batched_curve_bitwise(reference_profile):
+    # ricci_diag works on Python floats, ricci_curve on arrays; squares are
+    # products in both (a float ** 2 calls libm pow and can move the last bit)
+    rng = np.random.default_rng(1)
+    for _ in range(1000):
+        p = random_smooth_profile(rng)
+        r = rng.uniform(0.3, 3.0)
+        assert np.array_equal(ricci_diag(p, r).as_array(),
+                              ricci_curve(p, np.array([r]))[:, 0])
+    radii = np.linspace(1e-3, 3.0, 1501)
+    alone = np.stack([ricci_diag(reference_profile, r).as_array() for r in radii], axis=1)
+    assert np.array_equal(alone, ricci_curve(reference_profile, radii))
 
 
 def test_symbolic_ricci_by_cartan():
@@ -192,6 +251,16 @@ def test_bracket_table_matches_loop():
         assert np.array_equal(_bracket_table(p, r), _bracket_table_loop(p, r))
 
 
+def test_bracket_table_batch_matches_scalar(reference_profile):
+    rng = np.random.default_rng(10)
+    for p in [random_smooth_profile(rng) for _ in range(10)] + [reference_profile]:
+        radii = rng.uniform(0.3, 3.0, 5)
+        batch = _bracket_table(p, radii)
+        assert batch.shape == (5, 4, 4, 4)
+        for i, r in enumerate(radii):
+            assert np.array_equal(batch[i], _bracket_table(p, r))
+
+
 def test_koszul_selects_torsion_free_c23():
     # The bracket-derived connection in closed form.  Its c23 = gamma[1,2,3]
     # carries the torsion-free sign 2/(rho phi) - phi/rho; the opposite
@@ -315,6 +384,30 @@ def test_oracle_step_too_large_is_reported():
         curvature_from_forms(p, 2.0, h=0.5)
     with pytest.raises(FrameDomainError):
         curvature_from_forms(p, 0.05, h=0.1)
+
+
+def test_step_check_keeps_the_tensor_bits():
+    # the h/2 stencil rides in the same batch and leaves the h result alone
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        p = random_smooth_profile(rng)
+        r = rng.uniform(0.4, 2.5)
+        R, ric = curvature_from_forms(p, r, h=1e-5, check_step=False)
+        R_checked, ric_checked = curvature_from_forms(p, r, h=1e-5)
+        assert np.array_equal(R, R_checked)
+        assert np.array_equal(ric.as_array(), ric_checked.as_array())
+
+
+def test_oracle_rejects_a_nan_step_and_a_nan_drift():
+    for check_step in (True, False):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            curvature_from_forms(round_profile(), 1.0, h=float("nan"), check_step=check_step)
+    # a NaN slope leaves rho and phi finite, so only the step check sees it
+    nan = lambda r: np.full_like(r, np.nan)
+    p = ProfilePair(rho=RadialFunction([lambda r: np.full_like(r, 1.0), nan, nan, nan]),
+                    phi=constant_radial(1.0))
+    with pytest.raises(OracleStepError, match="moved by nan"):
+        curvature_from_forms(p, 1.0)
 
 
 def test_scaling_covariance():
