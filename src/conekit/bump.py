@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .profiles import ProfilePair, RadialFunction
-from .reports import BoundCheck, VerificationReport
+from .reports import BoundCheck, ConstructionError, VerificationReport
 
 __all__ = [
     "ConstructionError",
@@ -69,10 +69,6 @@ _PROFILE_CHECKS = 513
 # Gauss-Legendre order and panels per segment of the one-off bump integrals
 _SEGMENT_ORDER = 24
 _SEGMENT_PANELS = 8
-
-
-class ConstructionError(ValueError):
-    """A certified construction claim failed (message names the claim)."""
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ default; each subcommand takes only the flags it reads and rejects any
 other.  :func:`_check_args` makes the input checks that neither argparse
 nor the library makes.
 
+Importing this module loads no numpy: it holds argparse, the exact
+``obstruction`` arithmetic and the numpy-free ``reports`` types.  Each
+command imports the numeric layers it runs when it is dispatched, so
+``obstruction``, ``--help`` and usage errors never import numpy;
+``build-profile`` and ``verify`` import numpy but not scipy, and only
+``collapse`` imports scipy (through ``spaces``).  The one default that
+lives in a numeric layer, build-profile's ``--neck-slope``, is read from
+``bump.REFERENCE_NECK_SLOPE`` inside the command.
+
 Exit codes: 0 success; 1 when a verification fails or a construction
 claim fails (an infeasible build, or a profile.json whose stored samples
 or constants disagree with its rebuild); 2 for usage, input and I/O
@@ -31,12 +40,8 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
-from . import bump, verify
-from .frame import ricci_curve
 from .obstruction import GROUPS, TopologicalData, betti_constraints, hitchin_check
-from .reports import VerificationReport
+from .reports import ConstructionError, VerificationReport
 
 __all__ = ["main"]
 
@@ -73,7 +78,10 @@ def _write_reports(reports: list[VerificationReport], args: argparse.Namespace,
 
 
 def cmd_build_profile(args: argparse.Namespace) -> int:
-    profile = bump.build_profile(args.neck_slope)
+    from . import bump
+
+    slope = bump.REFERENCE_NECK_SLOPE if args.neck_slope is None else args.neck_slope
+    profile = bump.build_profile(slope)
     bump.save_profile(profile, os.path.join(args.out, "profile.json"))
     report = bump.smoothness_check(profile)
     _write_reports([report], args, "smoothness")
@@ -83,6 +91,11 @@ def cmd_build_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import bump, verify
+    from .frame import ricci_curve
+
     profile = bump.load_profile(args.profile)
     if args.negative_control:
         profile = verify.negative_control(profile)
@@ -108,7 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    from . import spaces  # only collapse needs scipy; the other commands skip its import
+    from . import bump, spaces
 
     if args.profile:
         profile = bump.load_profile(args.profile)
@@ -160,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-profile", parents=[output],
                        help="construct and certify a profile")
-    p.add_argument("--neck-slope", type=float, default=bump.REFERENCE_NECK_SLOPE)
+    p.add_argument("--neck-slope", type=float)  # None: bump.REFERENCE_NECK_SLOPE
     p.set_defaults(command=cmd_build_profile)
 
     p = sub.add_parser("verify", parents=[output],
@@ -205,7 +218,8 @@ def _check_args(args: argparse.Namespace) -> None:
     if getattr(args, "grid", 64) < 64:
         raise ValueError("--grid must be at least 64")
     for name in ("tol", "rmax", "neck_slope"):
-        if not 0 < getattr(args, name, 1.0) < float("inf"):  # NaN fails too
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < float("inf"):  # NaN fails too
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
     if getattr(args, "b3", None) is not None and (args.chi, args.tau) != (None, None):
         raise ValueError("--b3 fixes chi and tau; it cannot be combined with --chi or --tau")
@@ -230,7 +244,7 @@ def main(argv=None) -> int:
         # interpreter's own flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except bump.ConstructionError as exc:
+    except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

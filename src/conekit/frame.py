@@ -242,7 +242,8 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
         When True, also evaluates at h/2 (in the same stencil batch) and
         raises :class:`OracleStepError` if the Ricci entries move by more
         than 1e-6 or by NaN; a too-coarse step is reported, never silently
-        accepted.
+        accepted.  Without the check a non-finite Ricci entry raises
+        :class:`FrameDomainError`, as in :func:`ricci_curve`.
 
     Returns
     -------
@@ -262,4 +263,6 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
             raise OracleStepError(
                 f"step h={h} too coarse at r={r}: Ricci moved by {drift:.3e} "
                 f"between h and h/2 (tolerance {_STEP_TOL:.1e})")
+    if not np.isfinite(ric[0]).all():
+        raise FrameDomainError(f"non-finite Ricci entries at r={r!r}")
     return R[0], RicciDiag(*ric[0])

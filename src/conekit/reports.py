@@ -1,10 +1,18 @@
-"""Pass/fail report containers shared by the builders and verifiers."""
+"""Pass/fail types shared by the builders and verifiers.
+
+The module imports no numpy, so the CLI can map a failed construction
+claim to its exit code without loading the numeric layers.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["BoundCheck", "VerificationReport"]
+__all__ = ["ConstructionError", "BoundCheck", "VerificationReport"]
+
+
+class ConstructionError(ValueError):
+    """A certified construction claim failed (message names the claim)."""
 
 
 @dataclass(frozen=True)

@@ -251,10 +251,11 @@ def _in_blocks(count: int, block) -> None:
     There is one block per CPU of the process's affinity mask (at most
     ``count``).  The caller runs the first block; each other block runs in a
     forked child, which exits without returning here.  Every child is
-    reaped, and RuntimeError names the blocks whose child failed.  While the
-    blocks run, a nested call, in a child or in the caller's own block, runs
-    its whole range in place, so one split forks once per extra CPU and a
-    worker never forks.  With one block nothing is forked.
+    reaped; then an exception from the caller's own block propagates as it
+    is, and otherwise RuntimeError names the blocks whose child failed.
+    While the blocks run, a nested call, in a child or in the caller's own
+    block, runs its whole range in place, so one split forks once per extra
+    CPU and a worker never forks.  With one block nothing is forked.
     """
     global _splitting
     # platforms without an affinity mask get one block
@@ -284,9 +285,9 @@ def _in_blocks(count: int, block) -> None:
         _splitting = False
         failed = [(pid, lo, hi) for pid, (lo, hi) in children.items()
                   if os.waitpid(pid, 0)[1] != 0]
-        if failed:
-            raise RuntimeError("forked worker failed: " + ", ".join(
-                f"pid {pid} on [{lo}, {hi}) of {count}" for pid, lo, hi in failed))
+    if failed:
+        raise RuntimeError("forked worker failed: " + ", ".join(
+            f"pid {pid} on [{lo}, {hi}) of {count}" for pid, lo, hi in failed))
 
 
 def geodesics(n: int, edges, weights) -> np.ndarray:
@@ -536,6 +537,7 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         raise ValueError("profile needs a neck_slope and r1 for the cone comparison")
 
     _check_sample_size(n)
+    np.random.SeedSequence(seed)  # numpy's own seed rule, checked before any fork
 
     slope = profile.neck_slope
     tail = profile.r1 + 0.25

@@ -261,6 +261,15 @@ def test_collapse_rmax_must_exceed_the_largest_eps(tmp_path, capsys, rmax):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_collapse_negative_seed_is_an_input_error(tmp_path, capsys):
+    # rejected before any scale is forked, so the exit code does not depend
+    # on the number of CPUs
+    code = main(["collapse", "--out", str(tmp_path), "--n", "60", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_collapse_single_eps(tmp_path):
     code = main(["collapse", "--out", str(tmp_path), "--eps", "1",
                  "--n", "120"])
@@ -381,16 +390,25 @@ def test_entry_point_exit_codes(tmp_path):
 
 
 def test_only_collapse_loads_scipy(tmp_path):
-    # a fresh interpreter: build-profile, verify and obstruction run without
-    # importing scipy, and collapse still imports it when it needs it
+    # a fresh interpreter: importing the CLI, a usage error and obstruction
+    # load no numpy; build-profile and verify run without importing scipy,
+    # and collapse still imports it when it needs it
     script = f"""
 import sys
 from conekit.cli import main
 out = {str(tmp_path)!r}
+assert "numpy" not in sys.modules, "importing the CLI imported numpy"
+try:
+    main(["frobnicate"])
+except SystemExit as exc:
+    assert exc.code == 2
+assert main(["verify", "--profile", "profile.json", "--out", out, "--grid", "10"]) == 2
+assert "numpy" not in sys.modules, "a usage error imported numpy"
+assert main(["obstruction"]) == 0
+assert "numpy" not in sys.modules, "obstruction imported numpy"
 assert main(["build-profile", "--out", out]) == 0
 assert main(["verify", "--profile", out + "/profile.json", "--out", out,
              "--grid", "64"]) == 0
-assert main(["obstruction"]) == 0
 assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
 assert main(["collapse", "--out", out, "--n", "120", "--eps", "1,0.5"]) == 0
 """

@@ -398,16 +398,28 @@ def test_step_check_keeps_the_tensor_bits():
         assert np.array_equal(ric.as_array(), ric_checked.as_array())
 
 
+def _nan_slope_profile():
+    nan = lambda r: np.full_like(r, np.nan)
+    return ProfilePair(rho=RadialFunction([lambda r: np.full_like(r, 1.0), nan, nan, nan]),
+                       phi=constant_radial(1.0))
+
+
 def test_oracle_rejects_a_nan_step_and_a_nan_drift():
     for check_step in (True, False):
         with pytest.raises(ValueError, match="step h must be positive"):
             curvature_from_forms(round_profile(), 1.0, h=float("nan"), check_step=check_step)
-    # a NaN slope leaves rho and phi finite, so only the step check sees it
-    nan = lambda r: np.full_like(r, np.nan)
-    p = ProfilePair(rho=RadialFunction([lambda r: np.full_like(r, 1.0), nan, nan, nan]),
-                    phi=constant_radial(1.0))
+    # a NaN slope leaves rho and phi finite; the step check sees it as a NaN drift
     with pytest.raises(OracleStepError, match="moved by nan"):
-        curvature_from_forms(p, 1.0)
+        curvature_from_forms(_nan_slope_profile(), 1.0)
+
+
+def test_oracle_rejects_a_nan_slope_without_the_step_check():
+    # rho = phi = 1 with rho' = NaN: every Ricci entry is NaN, as in ricci_diag
+    p = _nan_slope_profile()
+    with pytest.raises(FrameDomainError, match="non-finite Ricci entries"):
+        ricci_diag(p, 1.0)
+    with pytest.raises(FrameDomainError, match=re.escape("non-finite Ricci entries at r=1.0")):
+        curvature_from_forms(p, 1.0, check_step=False)
 
 
 def test_scaling_covariance():

@@ -605,14 +605,15 @@ def test_collapse_premise_failure_in_a_worker(monkeypatch):
     assert messages[0] == messages[1]
 
 
-@pytest.mark.parametrize("failing", ["child", "caller"])
+@pytest.mark.parametrize("failing", ["child", "caller", "both"])
 def test_collapse_worker_failure_raises_and_reaps(monkeypatch, lab_profile, failing):
-    # on 2 CPUs the caller runs eps 1 and 0.5, the worker 0.25 and 0.125
+    # on 2 CPUs the caller runs eps 1 and 0.5, the worker 0.25 and 0.125; when
+    # both fail, the caller's own exception is the one raised
     real = spaces.space_from_points
-    bad = 0.125 if failing == "child" else 1.0
+    bad = {"child": (0.125,), "caller": (1.0,), "both": (1.0, 0.125)}[failing]
 
     def flaky(profile, radii, quats, **kwargs):
-        if kwargs["provenance"]["eps"] == bad:
+        if kwargs["provenance"]["eps"] in bad:
             raise MemoryError("injected")
         return real(profile, radii, quats, **kwargs)
     monkeypatch.setattr(spaces, "space_from_points", flaky)
