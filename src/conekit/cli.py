@@ -130,9 +130,10 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     result = spaces.collapse_experiment(profile, args.eps, n=args.n,
                                         seed=args.seed, r_outer=args.rmax)
     path = os.path.join(args.out, "collapse.csv")
-    _write_csv(path, ["eps", "gh_bound", "diameter", "stretch_max", "stretch_mean"],
-               ([row.eps, row.gh_bound, row.diameter, row.stretch_max, row.stretch_mean]
-                for row in result.rows),
+    _write_csv(path, ["eps", "gh_bound", "diameter", "stretch_max", "stretch_mean",
+                      "stretch_min"],
+               ([row.eps, row.gh_bound, row.diameter, row.stretch_max, row.stretch_mean,
+                 row.stretch_min] for row in result.rows),
                note=f"seed {result.seed}")
     if args.format == "json":
         with open(os.path.join(args.out, "collapse.json"), "w") as fh:

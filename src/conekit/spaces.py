@@ -12,19 +12,20 @@ experiment measures the graph against.
 Work is split over the CPUs of the process's affinity mask by one helper,
 ``_in_blocks``: one contiguous block per CPU, the first run by the caller
 and each other one by a forked worker.  A lone space splits its all-pairs
-shortest paths by source rows.  The collapse experiment splits its scales
-instead: each worker builds and measures whole scales, and a worker never
-forks, so 4 scales on 2 CPUs fork once.  ``taskset -c 0 ...`` restricts a
-run to one CPU, where nothing is forked.  No result depends on the number
-of CPUs.
+shortest paths by source rows.  The collapse experiment splits its work
+items, the pairs (scale, block of source rows), so a lone scale uses every
+CPU too; a worker never forks.  ``taskset -c 0 ...`` restricts a run to one
+CPU, where nothing is forked.  No result depends on the number of CPUs.
 
-Memory: a space of n points holds one n x n float64 distance matrix, 8n^2
-bytes, and no other n x n array is made while building or checking it.
-Proximity, the neighbor pick and the shortest-path searches run a block of
-rows at a time, and the distance rows are symmetrized in place.  The
-matrix lives in a shared anonymous map, so the forked workers of later
-spaces see it but never write to it.  A collapse worker measures its
-scales one at a time, so each process holds at most one n x n matrix.
+Memory: every blocked pass (the neighbor pick, the edge weights, the
+shortest-path searches, the edge certificate and the collapse reduction)
+makes temporaries of at most ``_BLOCK`` elements, 256 KB, so they stay in
+cache.  A space of n points holds one n x n float64 distance matrix, 8n^2
+bytes, and no other n x n array is made while building or checking it;
+its rows are symmetrized in place.  The matrix lives in a shared anonymous
+map, so the forked workers of later spaces see it but never write to it.
+The collapse experiment holds no n x n array at all: it reduces each block
+of shortest-path rows against the closed forms as soon as it is found.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 _MIN_SAMPLE = 50
+_BLOCK = 1 << 15  # elements per temporary of every blocked pass: 256 KB
 _TILE = 256  # tile side of the in-place passes over a distance matrix: 512 KB
 _splitting = False  # set while ``_in_blocks`` runs blocks, in its caller and children
 
@@ -94,7 +96,7 @@ class SampledSpace:
         return self.dist.shape[0]
 
     def diameter(self) -> float:
-        return diameter(self)
+        return diameter(self.dist)
 
     def metric_axioms_report(self) -> dict:
         """Symmetry, zero diagonal, and a complete edge certificate.
@@ -117,9 +119,9 @@ class SampledSpace:
         sym = all(np.array_equal(d[r, c], d[c, r].T) for r, c in _tiles(self.n))
         diag = bool(np.all(np.diag(d) == 0.0))
         worst = 0.0
-        # edges per pass: about 2 MB of gathered rows, which stays in cache;
-        # the passes reuse two buffers, so none of them allocates
-        block = max(1, (1 << 18) // self.n)
+        # edges per pass: _BLOCK gathered distances per buffer; the passes
+        # reuse two buffers, so none of them allocates
+        block = max(1, _BLOCK // self.n)
         near, far = np.empty((2, block, self.n))
         for lo in range(0, len(self.edges), block):
             a, b = self.edges[lo:lo + block].T
@@ -141,13 +143,26 @@ class SampledSpace:
 # sampling and graph construction
 # ---------------------------------------------------------------------------
 
+def _dot_block(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """<qa_i, qb_j>, shape (len(qa), len(qb)).
+
+    The four component products are added in a fixed order by numpy ufuncs,
+    not by a BLAS product, so the bits do not depend on the BLAS kernel.
+    """
+    out = np.multiply.outer(qa[:, 0], qb[:, 0])
+    term = np.empty_like(out)
+    for k in range(1, 4):
+        out += np.multiply.outer(qa[:, k], qb[:, k], out=term)
+    return out
+
+
 def _orbit_cos_block(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
     """max over lifts of <g*qa_i, qb_j>, shape (len(qa), len(qb))."""
     if group == "trivial":
-        return qa @ qb.T
-    best = np.abs(qmul(BASIS[0], qa) @ qb.T)
+        return _dot_block(qa, qb)
+    best = np.abs(_dot_block(qmul(BASIS[0], qa), qb))
     for g in BASIS[1:]:
-        np.maximum(best, np.abs(qmul(g, qa) @ qb.T), out=best)
+        np.maximum(best, np.abs(_dot_block(qmul(g, qa), qb)), out=best)
     return best
 
 
@@ -184,8 +199,7 @@ def _nearest(radii, quats, group, kk: int) -> np.ndarray:
     """
     n = len(radii)
     nbr = np.empty((n, kk), dtype=np.intp)
-    # rows per pass: about 2 MB per temporary
-    block = max(1, (1 << 18) // n)
+    block = max(1, _BLOCK // n)  # rows per pass
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         prox = _proximity(radii, quats, group, slice(lo, hi))
@@ -213,9 +227,8 @@ def neighbor_graph(radii, quats, group, k=None) -> np.ndarray:
         # the keys a*n + b of the pairs a < b sort as the pairs do
         keys = np.unique(np.minimum(ii, jj) * n + np.maximum(ii, jj))
         edges = np.stack([keys // n, keys % n], axis=1)
-        adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                         shape=(n, n))
-        ncomp, _ = connected_components(adj, directed=False)
+        ncomp, _ = connected_components(_adjacency(n, edges, np.ones(len(edges))),
+                                        directed=False)
         if ncomp == 1:
             return edges
         k = int(np.ceil(k * 1.5)) + 1
@@ -228,21 +241,26 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
     logarithm of ``qa^-1 (g qb)``: its (i, j, k) components are the
     left-invariant coframe values.  The squared length is
     ``dr^2 + rho^2 (phi^2 a1^2 + a2^2 + a3^2)`` at midpoint profile values,
-    minimized over the 8 lifts g of the far endpoint.
+    minimized over the 8 lifts g of the far endpoint.  The edges are weighed
+    a block at a time; each length depends only on its own edge.
     """
-    qa = quats[edges[:, 0]]
-    qb = quats[edges[:, 1]]
-    dr = radii[edges[:, 1]] - radii[edges[:, 0]]
-    mid = 0.5 * (radii[edges[:, 0]] + radii[edges[:, 1]])
-    rho = np.asarray(profile.rho(mid), dtype=float)
-    phi = np.asarray(profile.phi(mid), dtype=float)
-
     lifts = Q8 if group == "q8" else BASIS[:1]
-    rel = qmul(qconj(qa)[:, None, :], qmul(lifts, qb[:, None, :]))
-    a = qlog_vec(rel)  # (E, lifts, 3)
-    ang2 = (phi[:, None]**2 * a[..., 0]**2 + a[..., 1]**2 + a[..., 2]**2)
-    best = np.min(dr[:, None]**2 + rho[:, None]**2 * ang2, axis=1)
-    return np.sqrt(best)
+    out = np.empty(len(edges))
+    # edges per pass: the (edges, lifts, 4) products hold _BLOCK floats
+    step = max(1, _BLOCK // (4 * len(lifts)))
+    for lo in range(0, len(edges), step):
+        a, b = edges[lo:lo + step].T
+        qa, qb = quats[a], quats[b]
+        dr = radii[b] - radii[a]
+        mid = 0.5 * (radii[a] + radii[b])
+        rho = np.asarray(profile.rho(mid), dtype=float)
+        phi = np.asarray(profile.phi(mid), dtype=float)
+        rel = qmul(qconj(qa)[:, None, :], qmul(lifts, qb[:, None, :]))
+        v = qlog_vec(rel)  # (edges, lifts, 3)
+        ang2 = (phi[:, None]**2 * v[..., 0]**2 + v[..., 1]**2 + v[..., 2]**2)
+        best = np.min(dr[:, None]**2 + rho[:, None]**2 * ang2, axis=1)
+        out[lo:lo + step] = np.sqrt(best)
+    return out
 
 
 def _in_blocks(count: int, block) -> None:
@@ -290,35 +308,47 @@ def _in_blocks(count: int, block) -> None:
             f"pid {pid} on [{lo}, {hi}) of {count}" for pid, lo, hi in failed))
 
 
+def _adjacency(n: int, edges, weights) -> csr_matrix:
+    """The undirected graph on n points as a matrix storing both directions."""
+    return csr_matrix(
+        (np.concatenate([weights, weights]),
+         (np.concatenate([edges[:, 0], edges[:, 1]]),
+          np.concatenate([edges[:, 1], edges[:, 0]]))),
+        shape=(n, n))
+
+
+def _dijkstra_rows(graph: csr_matrix, start: int, stop: int) -> np.ndarray:
+    """Distances from the sources ``start..stop-1`` to every point.
+
+    The graph stores both directions, so the directed search is exact and
+    skips scipy's own symmetrization.  Each row is a single-source Dijkstra
+    run, so it does not depend on which rows share the call.
+    """
+    return shortest_path(graph, method="D", directed=True,
+                         indices=np.arange(start, stop))
+
+
 def geodesics(n: int, edges, weights) -> np.ndarray:
     """Stage 3: all-pairs Dijkstra distances over the weighted graph on n points.
 
     The source rows are split by ``_in_blocks``, one contiguous block per
     CPU of the affinity mask: forked children write their rows into a
     shared anonymous map and the caller fills the first block.  Called from
-    a block of an outer split (a collapse worker), or on one CPU, it forks
-    nothing.  Each row is a single-source Dijkstra run, so the result does
-    not depend on the split.  Each block is searched a few rows at a time,
-    written straight into the map, and the rows are then made exactly
-    symmetric tile by tile inside it; the map-backed array is returned.
+    a block of an outer split, or on one CPU, it forks nothing.  Each block
+    is searched ``_BLOCK // n`` rows at a time, written straight into the
+    map, and the rows are then made exactly symmetric tile by tile inside
+    it; the map-backed array is returned.  The result does not depend on
+    the split.
     """
-    graph = csr_matrix(
-        (np.concatenate([weights, weights]),
-         (np.concatenate([edges[:, 0], edges[:, 1]]),
-          np.concatenate([edges[:, 1], edges[:, 0]]))),
-        shape=(n, n))
+    graph = _adjacency(n, edges, weights)
     shared = mmap.mmap(-1, 8 * n * n)
     rows = np.frombuffer(shared, dtype=np.float64).reshape(n, n)
+    step = max(1, _BLOCK // n)  # sources per search
 
     def fill(lo, hi):
-        # the graph stores both directions, so the directed search is exact
-        # and skips scipy's own symmetrization; sources per call: about 2 MB
-        # of result rows, so no n x n result is made on any number of CPUs
-        step = max(1, (1 << 18) // n)
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            rows[start:stop] = shortest_path(graph, method="D", directed=True,
-                                             indices=np.arange(start, stop))
+            rows[start:stop] = _dijkstra_rows(graph, start, stop)
 
     _in_blocks(n, fill)
     # exact symmetry, made in place: the map is the only n x n array
@@ -399,9 +429,13 @@ def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
         provenance={"kind": "sphere", "r": r, "n": n, "seed": seed, "group": group})
 
 
-def diameter(space: SampledSpace) -> float:
-    """Largest pairwise distance of the sample."""
-    return float(space.dist.max())
+def diameter(dist: np.ndarray) -> float:
+    """Largest entry of a distance matrix, the diameter of its space.
+
+    Given a block of the matrix's rows it returns that block's share, and
+    the diameter is the largest share.
+    """
+    return float(dist.max())
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +482,7 @@ class CollapseRow:
     diameter: float
     stretch_max: float
     stretch_mean: float
+    stretch_min: float
 
 
 @dataclass(frozen=True)
@@ -509,19 +544,21 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
 
     The graph-geodesic space of ``eps^2 g`` on the same points is the thing
     under test: each row reports its diameter and its stretch
-    ``d_graph / d_exact`` (max and mean over ordered pairs of distinct
-    points).  The closed forms are evaluated a block of rows at a time, so
-    the graph's distance matrix is the only full one held.
+    ``d_graph / d_exact`` (max, mean and min over ordered pairs of distinct
+    points).  The pair (s, t) is read from source s's Dijkstra row.  No
+    n x n array is made: each block of ``_BLOCK // n`` source rows is
+    searched and at once reduced against the closed forms of the same rows.
 
-    The scales run one contiguous block per CPU of the affinity mask
-    (``_in_blocks``): the caller runs the first block and a forked worker
-    each other one.  A worker draws, builds and measures its scales one at a
-    time, never forks, and writes one row of floats per scale into a shared
-    anonymous map; each process holds at most one n x n matrix.  Input is
-    validated before any fork, and the failed premise is reported by the
-    caller, for the first failing eps.  A single scale runs in the caller,
-    whose ``geodesics`` then splits its rows; on one CPU (``taskset -c 0``)
-    nothing is forked.  The rows do not depend on the number of CPUs.
+    The work items are the pairs (scale, row block), in order, split into
+    one contiguous block per CPU of the affinity mask (``_in_blocks``): the
+    caller runs the first block and a forked worker each other one, so a
+    lone scale uses every CPU too.  A process builds the graph of each scale
+    it meets once, never forks, and writes each item's partial reductions
+    into that item's slot of a shared anonymous map; the caller combines
+    them in item order, so the rows do not depend on the number of CPUs.
+    Input is validated before any fork, and the failed premise is reported
+    by the caller, for the first failing eps.  On one CPU
+    (``taskset -c 0``) nothing is forked.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -537,62 +574,65 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         raise ValueError("profile needs a neck_slope and r1 for the cone comparison")
 
     _check_sample_size(n)
-    np.random.SeedSequence(seed)  # numpy's own seed rule, checked before any fork
+    try:
+        np.random.SeedSequence(seed)  # numpy's own seed rule, checked before any fork
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"seed = {seed!r} is not a valid seed: {exc}") from None
 
     slope = profile.neck_slope
     tail = profile.r1 + 0.25
     offset = float(profile.rho(tail)) - slope * tail  # b in rho = c*r + b on the tail
-    # per eps: gh, diameter, stretch max and mean, core and apex margins
-    shared = mmap.mmap(-1, 8 * 6 * len(eps_arr))
-    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), 6)
+    step = max(1, _BLOCK // n)  # source rows per work item
+    per_scale = -(-n // step)
+    # per item: gh, core and apex margins, row max, stretch max, min and sum
+    shared = mmap.mmap(-1, 8 * 7 * len(eps_arr) * per_scale)
+    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), per_scale, 7)
 
-    def scales(first, stop):
-        for idx in range(first, stop):
-            eps = eps_arr[idx]
-            radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
-            graph = space_from_points(
-                profile.rescale(eps), radii, quats, group="q8",
-                provenance={"kind": "collapse-smooth", "eps": eps, "seed": seed})
-            shift = eps * offset / slope
-            u = radii + shift  # cone radii of eps^2 g on the tail
-            gh = stretch_max = stretch_sum = 0.0
-            core = apex = np.inf
-            # rows per pass: about 512 KB per temporary
-            block = max(1, (1 << 16) // n)
-            for lo in range(0, n, block):
-                hi = min(lo + block, n)
-                theta = _quotient_angles(quats[lo:hi], quats, "q8")
-                theta[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
-                ra = radii[lo:hi, None]
-                cone = cone_distance(ra, radii, theta, slope)
-                smooth = cone_distance(u[lo:hi, None], u, theta, slope)
-                block_core, block_apex = _tail_margins(ra, radii, shift, theta, smooth,
-                                                       slope, eps * tail)
-                core, apex = min(core, block_core), min(apex, block_apex)
-                gh = max(gh, gh_upper_bound(smooth, cone))
-                # the diagonal, where both distances are 0, counts as 0
-                stretch = np.divide(graph.dist[lo:hi], smooth,
-                                    out=np.zeros_like(smooth), where=smooth > 0)
-                stretch_max = max(stretch_max, float(stretch.max()))
-                stretch_sum += float(stretch.sum())
-            table[idx] = (gh, graph.diameter(), stretch_max,
-                          stretch_sum / (n * (n - 1)), core, apex)
-            del graph  # free this matrix before the next eps builds its own
-            if core < 0 or apex < 0:
-                # the caller reports the first failing eps, which comes before
-                # every row this block leaves unwritten
-                return
+    def measure(first, stop):
+        scale, failed = None, False
+        for item in range(first, stop):
+            idx, part = divmod(item, per_scale)
+            if idx != scale:
+                if failed:
+                    # the caller reports the first failing eps, and every
+                    # item of it ran; the items this block leaves are later
+                    return
+                scale, eps = idx, eps_arr[idx]
+                radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
+                edges = neighbor_graph(radii, quats, "q8")
+                graph = _adjacency(n, edges, weigh(profile.rescale(eps), radii, quats,
+                                                   edges, "q8"))
+                shift = eps * offset / slope
+                u = radii + shift  # cone radii of eps^2 g on the tail
+            lo, hi = part * step, min(part * step + step, n)
+            dist = _dijkstra_rows(graph, lo, hi)
+            theta = _quotient_angles(quats[lo:hi], quats, "q8")
+            theta[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
+            ra = radii[lo:hi, None]
+            cone = cone_distance(ra, radii, theta, slope)
+            smooth = cone_distance(u[lo:hi, None], u, theta, slope)
+            core, apex = _tail_margins(ra, radii, shift, theta, smooth, slope, eps * tail)
+            # a source's own entry, 0 in both metrics, counts as 0 and is no pair
+            apart = smooth > 0
+            stretch = np.divide(dist, smooth, out=np.zeros_like(smooth), where=apart)
+            table[idx, part] = (gh_upper_bound(smooth, cone), core, apex, diameter(dist),
+                                stretch.max(), stretch.min(where=apart, initial=np.inf),
+                                stretch.sum())
+            failed = failed or core < 0 or apex < 0
 
-    _in_blocks(len(eps_arr), scales)
+    _in_blocks(len(eps_arr) * per_scale, measure)
     rows = []
-    for eps, (gh, diam, stretch_max, stretch_mean, core, apex) in zip(eps_arr,
-                                                                       table.tolist()):
+    for eps, parts in zip(eps_arr, table.tolist()):
+        gh, core, apex, diam, stretch_max, stretch_min, stretch_sum = zip(*parts)
+        core, apex = min(core), min(apex)
         if core < 0 or apex < 0:
             raise ValueError(
                 f"tail premise fails at eps = {eps}: core-detour margin "
                 f"{core / eps:.3g}*eps, closest-approach margin {apex / eps:.3g}*eps "
                 "(both must be >= 0 for the closed-form cone distance to be the "
                 "smooth metric's)")
-        rows.append(CollapseRow(eps=eps, gh_bound=gh, diameter=diam,
-                                stretch_max=stretch_max, stretch_mean=stretch_mean))
+        rows.append(CollapseRow(eps=eps, gh_bound=max(gh), diameter=max(diam),
+                                stretch_max=max(stretch_max),
+                                stretch_mean=sum(stretch_sum) / (n * (n - 1)),
+                                stretch_min=min(stretch_min)))
     return CollapseResult(rows=tuple(rows), seed=seed, n=n)

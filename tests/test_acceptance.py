@@ -151,12 +151,16 @@ def test_collapse_experiment():
                                  seed=0)
     elapsed = time.time() - t0
     gh = [row.gh_bound for row in result.rows]
+    # on the tail no first-order edge is shorter than the cone chord
+    stretch_min = min(row.stretch_min for row in result.rows)
     ok = (result.gh_violations() <= 1
           and result.diameter_ratio() <= 1.2
+          and stretch_min >= 1 - 1e-12
           and elapsed < 300.0)
     _report("collapse experiment", ok,
             f"gh {['%.3f' % g for g in gh]}, "
-            f"diam ratio {result.diameter_ratio():.3f}, {elapsed:.1f}s")
+            f"diam ratio {result.diameter_ratio():.3f}, "
+            f"stretch min {stretch_min:.10f}, {elapsed:.1f}s")
     assert ok
 
 

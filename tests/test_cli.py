@@ -224,7 +224,7 @@ def test_collapse_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gh_bound column" in out
     lines = (tmp_path / "collapse.csv").read_text().splitlines()
-    assert lines[1] == "eps,gh_bound,diameter,stretch_max,stretch_mean"
+    assert lines[1] == "eps,gh_bound,diameter,stretch_max,stretch_mean,stretch_min"
     assert len(lines) == 4
 
 
@@ -239,7 +239,7 @@ def test_collapse_json_rows(tmp_path):
     assert [list(row) for row in doc["rows"]] == [list(table[0])] * 2
     for row, line in zip(doc["rows"], table):
         assert row == {key: float(value) for key, value in line.items()}
-        assert 1.0 <= row["stretch_mean"] <= row["stretch_max"]
+        assert 1.0 <= row["stretch_min"] <= row["stretch_mean"] <= row["stretch_max"]
 
 
 def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
@@ -266,7 +266,8 @@ def test_collapse_negative_seed_is_an_input_error(tmp_path, capsys):
     # on the number of CPUs
     code = main(["collapse", "--out", str(tmp_path), "--n", "60", "--seed", "-1"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == (
+        "error: seed = -1 is not a valid seed: expected non-negative integer\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -341,6 +342,23 @@ def test_curvature_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
         texts.append({file: _strip_timestamps((out / file).read_text()) for file in
                       ("profile.json", "smoothness.csv", "verification.csv", "ricci_curve.csv")})
     assert texts[0] == texts[1]
+
+
+def test_collapse_table_does_not_depend_on_the_blas_kernel(tmp_path):
+    # the quotient angles add their component products with numpy ufuncs, so
+    # no BLAS product sets the last bits of the kNN pick or the closed forms
+    env = {key: value for key, value in _src_env().items() if key != "OPENBLAS_CORETYPE"}
+    tables = []
+    for name, kernel in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        out = tmp_path / name
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "conekit.cli", "collapse", "--out",
+                               str(out), "--n", "200", "--seed", "1"],
+                              env={**env, **kernel}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        tables.append(_strip_timestamps((out / "collapse.csv").read_text()))
+    assert tables[0] == tables[1]
 
 
 def test_obstruction_default(capsys):

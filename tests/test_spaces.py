@@ -516,13 +516,19 @@ def _tail_offset(profile):
 
 
 def test_collapse_shares_one_graph_per_eps(lab_profile):
-    # each row is an independently built smooth graph space measured against
-    # the closed-form cone, with and without the apex shift eps*b/c
+    # each row is an independently built smooth graph measured against the
+    # closed-form cone, with and without the apex shift eps*b/c; the pair
+    # (s, t) is read from source s's directed Dijkstra row
     c = lab_profile.neck_slope
     result = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
     for idx, row in enumerate(result.rows):
         radii, quats = spaces._draw_points([3, idx], 120, row.eps, 8.0, "q8")
-        graph = space_from_points(lab_profile.rescale(row.eps), radii, quats)
+        edges = neighbor_graph(radii, quats, "q8")
+        weights = weigh(lab_profile.rescale(row.eps), radii, quats, edges, "q8")
+        graph = csr_matrix((np.concatenate([weights, weights]),
+                            (np.concatenate([edges[:, 0], edges[:, 1]]),
+                             np.concatenate([edges[:, 1], edges[:, 0]]))), shape=(120, 120))
+        dist = shortest_path(graph, method="D", directed=True)
         shift = row.eps * _tail_offset(lab_profile) / c
         cone = np.zeros((120, 120))
         smooth = np.zeros((120, 120))
@@ -533,12 +539,13 @@ def test_collapse_shares_one_graph_per_eps(lab_profile):
                 smooth[a, b] = smooth[b, a] = cone_distance(
                     radii[a] + shift, radii[b] + shift, theta, c)
         off = ~np.eye(120, dtype=bool)
-        stretch = graph.dist[off] / smooth[off]
-        assert row.diameter == graph.diameter()
+        stretch = dist[off] / smooth[off]
+        assert row.diameter == dist.max()
         assert row.gh_bound == pytest.approx(0.5 * np.abs(smooth - cone).max(), abs=1e-12)
         assert row.stretch_max == pytest.approx(stretch.max(), rel=1e-12)
         assert row.stretch_mean == pytest.approx(stretch.mean(), rel=1e-12)
-        assert row.stretch_mean >= 1.0
+        assert row.stretch_min == pytest.approx(stretch.min(), rel=1e-12)
+        assert row.stretch_mean >= row.stretch_min >= 1.0
 
 
 def test_collapse_gh_within_analytic_bound(lab_profile):
@@ -568,9 +575,10 @@ EPS4 = (1.0, 0.5, 0.25, 0.125)
 
 
 def test_collapse_rows_do_not_depend_on_cpus(monkeypatch, lab_profile):
-    # 4 scales on 1, 2 and 3 CPUs run as blocks of 4, 2 + 2 and 1 + 1 + 2
-    # scales; the split forks once per extra block, and neither a worker nor
-    # the caller's own block forks again for its shortest paths
+    # at n = 120 a scale is one work item: 4 scales on 1, 2 and 3 CPUs run as
+    # blocks of 4, 2 + 2 and 1 + 1 + 2 scales; the split forks once per extra
+    # block, and no block forks again for its shortest paths
+    assert spaces._BLOCK // 120 >= 120
     rows = {}
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
@@ -580,14 +588,51 @@ def test_collapse_rows_do_not_depend_on_cpus(monkeypatch, lab_profile):
     assert rows[1] == rows[2] == rows[3]
 
 
+def test_collapse_rows_do_not_depend_on_a_cut_scale(monkeypatch, lab_profile):
+    # at n = 200 a scale is two work items of 163 and 37 source rows, so on 2
+    # CPUs the caller and the worker each measure half of the middle scale,
+    # and on 3 CPUs each process measures one scale
+    assert spaces._BLOCK // 200 == 163
+    rows = {}
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            forks = _use_cpus(patch, cpus)
+            rows[cpus] = collapse_experiment(lab_profile, EPS4[:3], n=200, seed=5).rows
+            assert len(forks) == cpus - 1
+    assert rows[1] == rows[2] == rows[3]
+
+
 def test_collapse_single_eps_splits_its_rows(monkeypatch, lab_profile):
-    # one scale runs in the caller, whose geodesics splits the rows
+    # one scale of two work items: on 2 CPUs the caller and a worker each
+    # search and reduce one block of its rows
     with monkeypatch.context() as patch:
         _use_cpus(patch, 1)
-        expect = collapse_experiment(lab_profile, (1.0,), n=120, seed=5).rows
+        expect = collapse_experiment(lab_profile, (1.0,), n=200, seed=5).rows
     forks = _use_cpus(monkeypatch, 2)
-    assert collapse_experiment(lab_profile, (1.0,), n=120, seed=5).rows == expect
+    assert collapse_experiment(lab_profile, (1.0,), n=200, seed=5).rows == expect
     assert len(forks) == 1
+
+
+def test_collapse_holds_no_distance_matrix(monkeypatch, lab_profile):
+    # the shortest-path rows are reduced a block at a time: no shared map
+    # and no traced allocation reaches the 8n^2 bytes of one distance matrix
+    n = 1000
+    _use_cpus(monkeypatch, 1)
+    sizes = []
+    real = spaces.mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real(fileno, length, *args, **kwargs)
+    monkeypatch.setattr(spaces.mmap, "mmap", recording)
+    tracemalloc.start()
+    try:
+        collapse_experiment(lab_profile, (1.0,), n=n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) < 8 * n * n
+    assert peak < 8 * n * n, f"traced peak {peak / (8 * n * n):.2f} x 8n^2 bytes"
 
 
 def test_collapse_premise_failure_in_a_worker(monkeypatch):
@@ -605,18 +650,44 @@ def test_collapse_premise_failure_in_a_worker(monkeypatch):
     assert messages[0] == messages[1]
 
 
+def test_collapse_premise_failure_in_a_cut_scale(monkeypatch, lab_profile):
+    # a failure injected into eps = 0.5, whose two work items at n = 200 the
+    # caller and the worker share on 2 CPUs; each row block gets its own core
+    # margin, so the message shows that the caller combined both blocks, and
+    # on one CPU the block stops before it measures eps = 0.25
+    real = spaces._tail_margins
+    tail = lab_profile.r1 + 0.25
+    seen, messages = [], []
+
+    def failing(ra, rb, shift, theta, dist, slope, start):
+        core, apex = real(ra, rb, shift, theta, dist, slope, start)
+        seen.append(start / tail)
+        return (core - float(ra.max()) if start == 0.5 * tail else core), apex
+    monkeypatch.setattr(spaces, "_tail_margins", failing)
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            _use_cpus(patch, cpus)
+            with pytest.raises(ValueError, match="tail premise fails at eps = 0.5:") as exc:
+                collapse_experiment(lab_profile, EPS4[:3], n=200, seed=5)
+        messages.append(str(exc.value))
+        if cpus == 1:
+            assert seen == [1.0, 1.0, 0.5, 0.5]
+    assert messages[0] == messages[1] == messages[2]
+
+
 @pytest.mark.parametrize("failing", ["child", "caller", "both"])
 def test_collapse_worker_failure_raises_and_reaps(monkeypatch, lab_profile, failing):
     # on 2 CPUs the caller runs eps 1 and 0.5, the worker 0.25 and 0.125; when
     # both fail, the caller's own exception is the one raised
-    real = spaces.space_from_points
+    real = spaces.weigh
     bad = {"child": (0.125,), "caller": (1.0,), "both": (1.0, 0.125)}[failing]
 
-    def flaky(profile, radii, quats, **kwargs):
-        if kwargs["provenance"]["eps"] in bad:
+    def flaky(profile, radii, quats, edges, group):
+        # scale eps draws radii from [eps, 8]; the lowest is below the next larger eps
+        if max(eps for eps in EPS4 if eps <= radii.min()) in bad:
             raise MemoryError("injected")
-        return real(profile, radii, quats, **kwargs)
-    monkeypatch.setattr(spaces, "space_from_points", flaky)
+        return real(profile, radii, quats, edges, group)
+    monkeypatch.setattr(spaces, "weigh", flaky)
     forks = _use_cpus(monkeypatch, 2)
     if failing == "child":
         expected = pytest.raises(RuntimeError, match=r"pid \d+ on \[2, 4\) of 4$")
