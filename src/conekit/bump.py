@@ -358,7 +358,7 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     tail is the cone over (S^3/Q8, c^2 round) with c = ``neck_slope``, a
     cone over a shrunk link only when c < 1.
     """
-    if neck_slope <= 0:
+    if not 0 < neck_slope:  # NaN fails too
         raise ValueError("neck_slope must be positive")
     if neck_slope >= 1:
         raise ConstructionError(
@@ -527,9 +527,11 @@ def load_profile(path: str) -> ProfilePair:
     rs = _numeric("grid", doc["grid"], None).astype(float)
     for key, fn in (("rho", profile.rho), ("phi", profile.phi)):
         stored = _numeric(key, doc[key], rs.shape).astype(float)
-        if np.max(np.abs(fn(rs) - stored)) > 1e-9:
+        # written so that a NaN or infinite value fails
+        if not np.max(np.abs(fn(rs) - stored)) <= 1e-9:
             raise ConstructionError(
                 f"stored {key} samples disagree with the rebuilt profile")
-    if abs(profile.r1 - r1) > 1e-12 or abs(profile.delta - delta) > 1e-12 * abs(delta):
+    if not (abs(profile.r1 - r1) <= 1e-12
+            and abs(profile.delta - delta) <= 1e-12 * abs(profile.delta)):
         raise ConstructionError("stored constants disagree with the rebuilt profile")
     return profile

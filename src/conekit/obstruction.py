@@ -27,9 +27,9 @@ class SpaceFormGroup:
     """A finite group acting freely on the 3-sphere, with its boundary eta invariant.
 
     ``eta_magnitude`` is the absolute value of the eta invariant of the
-    quotient's signature operator; the sign depends on the orientation, so
-    callers pick it (the inequality below only uses |tau + eta| and holds
-    for either choice when tau = 0).
+    quotient's signature operator; its sign depends on the orientation and
+    is fixed at +1 by ``hitchin_check`` (at tau = 0 the inequality only sees
+    |eta|, so either sign gives the same verdict).
     """
 
     order: int
@@ -89,16 +89,15 @@ class HitchinVerdict:
         return f"{self.lhs} {rel} {self.rhs}: {tail}"
 
 
-def hitchin_check(data: TopologicalData, group: SpaceFormGroup,
-                  eta_sign: int = 1) -> HitchinVerdict:
+def hitchin_check(data: TopologicalData, group: SpaceFormGroup) -> HitchinVerdict:
     """Evaluate the Hitchin inequality for an ALE Ricci-flat filling.
 
-    Returns the exact values of ``2*(chi - 1/|G|)`` and
-    ``3*|tau + sign*eta|``; an inconsistent verdict (lhs < rhs) means no
-    such filling exists.
+    Returns the exact values of ``2*(chi - 1/|G|)`` and ``3*|tau + eta|``;
+    an inconsistent verdict (lhs < rhs) means no such filling exists.  The
+    eta invariant enters with sign +1, the convention under which
+    Kronheimer's hyperkaehler ALE resolutions of C^2/G (chi = rank + 1,
+    tau = -rank) meet the inequality with equality.
     """
-    if eta_sign not in (1, -1):
-        raise ValueError("eta_sign must be +1 or -1")
     lhs = 2 * (data.chi - Fraction(1, group.order))
-    rhs = 3 * abs(data.tau + eta_sign * group.eta_magnitude)
+    rhs = 3 * abs(data.tau + group.eta_magnitude)
     return HitchinVerdict(lhs=lhs, rhs=rhs)

@@ -61,7 +61,6 @@ __all__ = [
 _MIN_SAMPLE = 50
 _BLOCK = 1 << 15  # elements per temporary of every blocked pass: 256 KB
 _TILE = 256  # tile side of the in-place passes over a distance matrix: 512 KB
-_splitting = False  # set while ``_in_blocks`` runs blocks, in its caller and children
 
 
 def _tiles(n: int):
@@ -143,32 +142,28 @@ class SampledSpace:
 # sampling and graph construction
 # ---------------------------------------------------------------------------
 
-def _dot_block(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """<qa_i, qb_j>, shape (len(qa), len(qb)).
-
-    The four component products are added in a fixed order by numpy ufuncs,
-    not by a BLAS product, so the bits do not depend on the BLAS kernel.
-    """
-    out = np.multiply.outer(qa[:, 0], qb[:, 0])
-    term = np.empty_like(out)
-    for k in range(1, 4):
-        out += np.multiply.outer(qa[:, k], qb[:, k], out=term)
-    return out
-
-
-def _orbit_cos_block(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
-    """max over lifts of <g*qa_i, qb_j>, shape (len(qa), len(qb))."""
-    if group == "trivial":
-        return _dot_block(qa, qb)
-    best = np.abs(_dot_block(qmul(BASIS[0], qa), qb))
-    for g in BASIS[1:]:
-        np.maximum(best, np.abs(_dot_block(qmul(g, qa), qb)), out=best)
-    return best
-
-
 def _quotient_angles(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
-    """Round quotient angles between fibers, shape (len(qa), len(qb))."""
-    return np.arccos(np.clip(_orbit_cos_block(qa, qb, group), -1.0, 1.0))
+    """Round quotient angles between fibers, shape (len(qa), len(qb)).
+
+    The angle is the arccos of ``<qa_i, qb_j>`` for the trivial group, and
+    of the largest ``|<g*qa_i, qb_j>|`` over the lifts g = 1, i, j, k for
+    q8 (the sign covers the other four).  The four component products are
+    added in a fixed order by numpy ufuncs, not by a BLAS product, so the
+    bits do not depend on the BLAS kernel.
+    """
+    q8 = group == "q8"
+    best = np.empty((len(qa), len(qb)))
+    cos, term = np.empty((2, *best.shape))  # freed on return, unlike ``best``
+    for g, lift in enumerate(qmul(BASIS[:, None, :], qa) if q8 else qa[None]):
+        out = cos if g else best  # the first lift's cosines start the maximum
+        np.multiply.outer(lift[:, 0], qb[:, 0], out=out)
+        for k in range(1, 4):
+            out += np.multiply.outer(lift[:, k], qb[:, k], out=term)
+        if q8:
+            np.abs(out, out=out)
+        if g:
+            np.maximum(best, out, out=best)
+    return np.arccos(np.clip(best, -1.0, 1.0, out=best), out=best)
 
 
 def _proximity(radii, quats, group, rows: slice) -> np.ndarray:
@@ -208,17 +203,17 @@ def _nearest(radii, quats, group, kk: int) -> np.ndarray:
     return nbr
 
 
-def neighbor_graph(radii, quats, group, k=None) -> np.ndarray:
+def neighbor_graph(radii, quats, group) -> np.ndarray:
     """Stage 1: proximity edges, as sorted unique pairs ``i < j``.
 
     Neighbors come from coordinate proximity: the k nearest per point,
-    with k grown until the graph connects.  At k = n - 1 the graph is
-    complete, so the growth ends.
+    starting from ``_default_k(n)`` and grown until the graph connects.  At
+    k = n - 1 the graph is complete, so the growth ends.
     """
     n = len(radii)
     if n < 2:
         raise ValueError("need at least two points")
-    k = k or _default_k(n)
+    k = _default_k(n)
     while True:
         kk = min(k, n - 1)
         nbr = _nearest(radii, quats, group, kk)
@@ -271,20 +266,18 @@ def _in_blocks(count: int, block) -> None:
     forked child, which exits without returning here.  Every child is
     reaped; then an exception from the caller's own block propagates as it
     is, and otherwise RuntimeError names the blocks whose child failed.
-    While the blocks run, a nested call, in a child or in the caller's own
-    block, runs its whole range in place, so one split forks once per extra
-    CPU and a worker never forks.  With one block nothing is forked.
+    ``block`` must not call ``_in_blocks`` itself: no caller nests a split,
+    so one split forks once per extra CPU and a worker never forks.  With
+    one block nothing is forked.
     """
-    global _splitting
     # platforms without an affinity mask get one block
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blocks = 1 if _splitting else min(cpus, count)
+    blocks = min(cpus, count)
     if blocks <= 1:
         block(0, count)
         return
     bounds = [count * b // blocks for b in range(blocks + 1)]
     children = {}
-    _splitting = True
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             pid = os.fork()
@@ -300,7 +293,6 @@ def _in_blocks(count: int, block) -> None:
             children[pid] = (lo, hi)
         block(bounds[0], bounds[1])
     finally:
-        _splitting = False
         failed = [(pid, lo, hi) for pid, (lo, hi) in children.items()
                   if os.waitpid(pid, 0)[1] != 0]
     if failed:
@@ -333,12 +325,11 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
 
     The source rows are split by ``_in_blocks``, one contiguous block per
     CPU of the affinity mask: forked children write their rows into a
-    shared anonymous map and the caller fills the first block.  Called from
-    a block of an outer split, or on one CPU, it forks nothing.  Each block
-    is searched ``_BLOCK // n`` rows at a time, written straight into the
-    map, and the rows are then made exactly symmetric tile by tile inside
-    it; the map-backed array is returned.  The result does not depend on
-    the split.
+    shared anonymous map and the caller fills the first block.  On one CPU
+    it forks nothing.  Each block is searched ``_BLOCK // n`` rows at a
+    time, written straight into the map, and the rows are then made exactly
+    symmetric tile by tile inside it; the map-backed array is returned.
+    The result does not depend on the split.
     """
     graph = _adjacency(n, edges, weights)
     shared = mmap.mmap(-1, 8 * n * n)
@@ -451,8 +442,17 @@ def cone_distance(u, v, theta, slope: float) -> np.ndarray:
     as ``(u - v)^2 + 4uv sin^2(phi/2)`` so near pairs lose nothing to
     cancellation.  The arguments broadcast.
     """
-    half = 0.5 * np.minimum(slope * np.asarray(theta), np.pi)
-    return np.sqrt((u - v) ** 2 + 4.0 * u * v * np.sin(half) ** 2)
+    return _chord(u, v, _half_sine2(theta, slope))
+
+
+def _half_sine2(theta, slope: float) -> np.ndarray:
+    """``sin^2(phi/2)`` at the cone angle ``phi = min(slope*theta, pi)``."""
+    return np.sin(0.5 * np.minimum(slope * np.asarray(theta), np.pi)) ** 2
+
+
+def _chord(u, v, s2) -> np.ndarray:
+    """Cone distance between cone radii u and v at ``s2 = sin^2(phi/2)``."""
+    return np.sqrt((u - v) ** 2 + 4.0 * u * v * s2)
 
 
 def gh_upper_bound(d1: np.ndarray, d2: np.ndarray) -> float:
@@ -501,28 +501,25 @@ class CollapseResult:
         return max(ds) / min(ds)
 
 
-def _tail_margins(ra, rb, shift, theta, dist, slope, start) -> tuple[float, float]:
-    """How far the closed form clears the two tail premises on a block of pairs.
+def _tail_margin(ra, rb, dist, start) -> float:
+    """How far the closed form clears the tail premise on a block of pairs.
 
     On the tail ``r >= start`` the smooth metric is the cone with cone
     radius ``u = r + shift``, and ``dist`` is that cone's distance between
     radii ``ra`` (a column) and ``rb`` (a row).  It is the smooth metric's
     distance when no pair is farther apart than ``(r_a - start) + (r_b -
-    start)``, the radial length of any path that enters the core, and when
-    each cone chord keeps its closest approach to the apex at ``u >= start
-    + shift``, so the chord runs in the tail.  Returns the smallest slack of
-    each, ``(core, apex)``; both are >= 0 when the premise holds.
+    start)``, the radial length of any path that enters the core.  Returns
+    the smallest slack, which is >= 0 when the premise holds.
+
+    The premise also keeps each cone chord in the tail.  On the developed
+    cone the chord from A (cone radius u_a) to B (u_b) is a plane segment;
+    let P be its point nearest the apex, at distance p.  Then ``dist = |AP|
+    + |PB| >= (u_a - p) + (u_b - p)``, while the premise gives ``dist <=
+    (u_a - u0) + (u_b - u0)`` with ``u0 = start + shift``, so ``p >= u0``.
+    A chord through the apex (``phi = pi``) is ``u_a + u_b`` long and
+    already fails the premise.
     """
-    core = float(((ra - start) + (rb - start) - dist).min())
-    ua, ub = ra + shift, rb + shift
-    phi = np.minimum(slope * theta, np.pi)
-    cos = np.cos(phi)
-    # the foot of the apex's perpendicular lies on the chord when neither
-    # endpoint angle is obtuse; otherwise the nearer endpoint is closest
-    inside = (ua > ub * cos) & (ub > ua * cos)
-    closest = np.minimum(ua, ub)
-    np.divide(ua * ub * np.sin(phi), dist, out=closest, where=inside)
-    return core, float(closest.min() - (start + shift))
+    return float(((ra - start) + (rb - start) - dist).min())
 
 
 def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
@@ -536,11 +533,13 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     largest eps (ValueError otherwise).  Beyond the tail start
     ``eps*(r1 + 1/4)`` the build certifies ``phi = 1`` and
     ``rho_eps(r) = c*r + eps*b``, so there ``eps^2 g`` is the same cone with
-    its apex shifted by ``eps*b/c``.  When ``_tail_margins`` shows that no
-    pair's geodesic leaves the tail, both metrics are closed forms of one
-    quotient-angle matrix, and ``gh_bound`` is ``gh_upper_bound`` of the
-    two, which shrinks linearly in eps; otherwise ValueError names eps and
-    the margins.
+    its apex shifted by ``eps*b/c``.  When ``_tail_margin`` shows that no
+    path through the core is shorter than the shifted cone's distance, no
+    pair's geodesic leaves the tail.  Then both metrics are closed forms of
+    one half-angle sine ``sin^2(min(c*theta, pi)/2)`` per pair, computed
+    once per block, and ``gh_bound`` is ``gh_upper_bound`` of the two,
+    which shrinks linearly in eps; otherwise ValueError names eps and the
+    margin.
 
     The graph-geodesic space of ``eps^2 g`` on the same points is the thing
     under test: each row reports its diameter and its stretch
@@ -584,9 +583,9 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     offset = float(profile.rho(tail)) - slope * tail  # b in rho = c*r + b on the tail
     step = max(1, _BLOCK // n)  # source rows per work item
     per_scale = -(-n // step)
-    # per item: gh, core and apex margins, row max, stretch max, min and sum
-    shared = mmap.mmap(-1, 8 * 7 * len(eps_arr) * per_scale)
-    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), per_scale, 7)
+    # per item: gh, core margin, row max, stretch max, min and sum
+    shared = mmap.mmap(-1, 8 * 6 * len(eps_arr) * per_scale)
+    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), per_scale, 6)
 
     def measure(first, stop):
         scale, failed = None, False
@@ -606,31 +605,29 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
                 u = radii + shift  # cone radii of eps^2 g on the tail
             lo, hi = part * step, min(part * step + step, n)
             dist = _dijkstra_rows(graph, lo, hi)
-            theta = _quotient_angles(quats[lo:hi], quats, "q8")
-            theta[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
+            s2 = _half_sine2(_quotient_angles(quats[lo:hi], quats, "q8"), slope)
+            s2[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
             ra = radii[lo:hi, None]
-            cone = cone_distance(ra, radii, theta, slope)
-            smooth = cone_distance(u[lo:hi, None], u, theta, slope)
-            core, apex = _tail_margins(ra, radii, shift, theta, smooth, slope, eps * tail)
+            cone = _chord(ra, radii, s2)
+            smooth = _chord(u[lo:hi, None], u, s2)
+            core = _tail_margin(ra, radii, smooth, eps * tail)
             # a source's own entry, 0 in both metrics, counts as 0 and is no pair
             apart = smooth > 0
             stretch = np.divide(dist, smooth, out=np.zeros_like(smooth), where=apart)
-            table[idx, part] = (gh_upper_bound(smooth, cone), core, apex, diameter(dist),
+            table[idx, part] = (gh_upper_bound(smooth, cone), core, diameter(dist),
                                 stretch.max(), stretch.min(where=apart, initial=np.inf),
                                 stretch.sum())
-            failed = failed or core < 0 or apex < 0
+            failed = failed or core < 0
 
     _in_blocks(len(eps_arr) * per_scale, measure)
     rows = []
     for eps, parts in zip(eps_arr, table.tolist()):
-        gh, core, apex, diam, stretch_max, stretch_min, stretch_sum = zip(*parts)
-        core, apex = min(core), min(apex)
-        if core < 0 or apex < 0:
+        gh, core, diam, stretch_max, stretch_min, stretch_sum = zip(*parts)
+        if min(core) < 0:
             raise ValueError(
                 f"tail premise fails at eps = {eps}: core-detour margin "
-                f"{core / eps:.3g}*eps, closest-approach margin {apex / eps:.3g}*eps "
-                "(both must be >= 0 for the closed-form cone distance to be the "
-                "smooth metric's)")
+                f"{min(core) / eps:.3g}*eps (it must be >= 0 for the closed-form cone "
+                "distance to be the smooth metric's)")
         rows.append(CollapseRow(eps=eps, gh_bound=max(gh), diameter=max(diam),
                                 stretch_max=max(stretch_max),
                                 stretch_mean=sum(stretch_sum) / (n * (n - 1)),

@@ -255,6 +255,12 @@ def test_rho_rejects_bad_slope(eta, table):
         bump.make_rho(eta, r1, -1.0, table)
 
 
+def test_build_profile_rejects_nan_slope():
+    # NaN fails every comparison, so the slope check asks for 0 < c
+    with pytest.raises(ValueError, match="neck_slope must be positive"):
+        bump.build_profile(float("nan"))
+
+
 @pytest.mark.parametrize("slope", [1.0, 2.0])
 def test_rho_rejects_slope_at_least_one(eta, table, slope):
     r1 = bump.compute_r1(eta)

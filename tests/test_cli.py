@@ -159,14 +159,21 @@ def _edited_profile(built, tmp_path, edit):
     return path, out
 
 
-def test_verify_tampered_profile_is_a_construction_failure(built, tmp_path, capsys):
-    def edit(doc):
-        doc["rho"][10] += 0.01
-
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["rho"].__setitem__(10, doc["rho"][10] + 0.01), "stored rho samples"),
+    (lambda doc: doc["rho"].__setitem__(3, float("nan")), "stored rho samples"),
+    (lambda doc: doc.update(delta=float("nan")), "stored constants"),
+    (lambda doc: doc.update(delta=float("inf")), "stored constants"),
+    (lambda doc: doc.update(r1=float("nan")), "stored constants"),
+], ids=["shifted-rho-sample", "nan-rho-sample", "nan-delta", "inf-delta", "nan-r1"])
+def test_verify_tampered_profile_is_a_construction_failure(built, tmp_path, capsys,
+                                                            edit, message):
+    # NaN fails every comparison and inf > inf is false, so each check must
+    # fail unless its error is within tolerance
     path, out = _edited_profile(built, tmp_path, edit)
     code = main(["verify", "--profile", str(path), "--out", str(out)])
     assert code == 1
-    assert "construction failed: stored rho samples" in capsys.readouterr().err
+    assert f"construction failed: {message} disagree" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -184,8 +191,10 @@ def test_verify_unknown_profile_version_is_an_input_error(built, tmp_path, capsy
     (lambda doc: doc["construction"].update(order="24"), "order"),
     (lambda doc: doc["construction"].update(ceiling=100.0), "ceiling"),
     (lambda doc: doc["construction"].update(neck_slope="1e-9"), "neck_slope"),
+    (lambda doc: doc["construction"].update(neck_slope=float("nan")),
+     "neck_slope must be positive"),
 ], ids=["missing-grid", "extra-construction-key", "string-order", "other-ceiling",
-        "string-neck-slope"])
+        "string-neck-slope", "nan-neck-slope"])
 def test_verify_malformed_profile_is_an_input_error(built, tmp_path, capsys,
                                                     edit, key):
     path, out = _edited_profile(built, tmp_path, edit)

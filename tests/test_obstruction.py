@@ -41,12 +41,18 @@ def test_hitchin_contradiction_binary_icosahedral():
 
 
 def test_hitchin_sign_choice_irrelevant_for_zero_signature():
+    # the check fixes the eta sign at +1; at tau = 0 either sign gives 3|eta|
     data = TopologicalData(chi=Fraction(1), tau=Fraction(0))
-    plus = hitchin_check(data, GROUPS["Q8"], eta_sign=1)
-    minus = hitchin_check(data, GROUPS["Q8"], eta_sign=-1)
-    assert plus.rhs == minus.rhs
-    with pytest.raises(ValueError):
-        hitchin_check(data, GROUPS["Q8"], eta_sign=2)
+    eta = GROUPS["Q8"].eta_magnitude
+    rhs = hitchin_check(data, GROUPS["Q8"]).rhs
+    assert rhs == 3 * abs(data.tau + eta) == 3 * abs(data.tau - eta)
+
+
+def test_hitchin_sign_is_pinned_by_kronheimer_resolution():
+    # Kronheimer's ALE resolution of C^2/Q8 (rank 4: chi = 5, tau = -4)
+    # meets the inequality with equality only under the +1 sign
+    verdict = hitchin_check(TopologicalData(chi=Fraction(5), tau=Fraction(-4)), GROUPS["Q8"])
+    assert verdict.lhs == verdict.rhs == Fraction(39, 4)
 
 
 def test_hitchin_consistent_for_large_euler_number():

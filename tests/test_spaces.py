@@ -207,7 +207,7 @@ def _whole_matrix_edges(radii, quats, group):
     ``neighbor_graph`` does until the graph connects.
     """
     n = len(radii)
-    ang = np.arccos(np.clip(spaces._orbit_cos_block(quats, quats, group), -1.0, 1.0))
+    ang = spaces._quotient_angles(quats, quats, group)
     prox = np.hypot(radii[:, None] - radii[None, :],
                     0.5 * (radii[:, None] + radii[None, :]) * ang)
     np.fill_diagonal(prox, np.inf)
@@ -370,16 +370,19 @@ def test_geodesics_disconnected_graph(monkeypatch, cpus):
         geodesics(5, np.array([[0, 1], [2, 3], [3, 4]]), np.ones(3))
 
 
-def test_graph_distance_matches_round_quotient():
+def test_graph_distance_matches_round_quotient(monkeypatch):
     # dense graph (k = 128) on the round quotient sphere: edges are exact
-    # geodesic lengths, so the sampled distance converges from above
+    # geodesic lengths, so the sampled distance converges from above; one
+    # Dijkstra search from point 0 reads d(0, 1)
+    monkeypatch.setattr(spaces, "_default_k", lambda n: 128)
     q1, q2 = _unit_pair(42)
     closed = _quotient_angle(q1, q2)
     quats = np.concatenate([[q1, q2], random_unit(np.random.default_rng(5), 1998)])
     radii = np.ones(2000)
-    edges = neighbor_graph(radii, quats, "q8", k=128)
+    edges = neighbor_graph(radii, quats, "q8")
     weights = weigh(profiles.round_profile(), radii, quats, edges, "q8")
-    graph = geodesics(2000, edges, weights)[0, 1]
+    adjacency = spaces._adjacency(2000, edges, weights)
+    graph = spaces._dijkstra_rows(adjacency, 0, 1)[0, 1]
     assert graph >= closed - 1e-12
     assert abs(graph - closed) <= 0.03 * closed
 
@@ -567,6 +570,66 @@ def test_collapse_tail_premise_fails_at_steep_slope():
         collapse_experiment(bump.build_profile(0.5), n=800, seed=1)
 
 
+def _closest_approach(ua, ub, theta, dist, slope):
+    """Distance from the cone's apex to the nearest point of each chord.
+
+    The chord between cone radii ua and ub at angle ``phi = min(slope*theta,
+    pi)`` is ``dist`` long; the foot of the apex's perpendicular lies on it
+    when neither endpoint angle is obtuse, and is then ``ua ub sin(phi) /
+    dist`` from the apex; otherwise the nearer endpoint is closest.
+    """
+    phi = np.minimum(slope * theta, np.pi)
+    cos = np.cos(phi)
+    inside = (ua > ub * cos) & (ub > ua * cos)
+    closest = np.broadcast_to(np.minimum(ua, ub), dist.shape).copy()
+    np.divide(ua * ub * np.sin(phi), dist, out=closest, where=inside)
+    return closest
+
+
+@pytest.mark.parametrize("slope, seed, eps_list, core_failing", [
+    (0.05, 1, (1.0, 0.5, 0.25, 0.125), 0),
+    (0.5, 1, (1.0, 0.5, 0.25, 0.125), 0),
+    (0.9, 14, (1.0, 0.99, 0.98, 0.97), 4),
+])
+def test_tail_premise_keeps_every_chord_in_the_tail(monkeypatch, slope, seed, eps_list,
+                                                   core_failing):
+    # per pair of the collapse's own points: wherever no path through the
+    # core is shorter than the shifted cone's distance, the cone chord keeps
+    # its closest approach to the apex at u >= start + shift; the steep case
+    # has core-failing pairs at eps = 0.97, so the implication is not vacuous
+    profile = bump.build_profile(slope)
+    tail = profile.r1 + 0.25
+    offset = float(profile.rho(tail)) - slope * tail
+    real = spaces._tail_margin
+    reported = {}
+
+    def recording(ra, rb, dist, start):
+        core = real(ra, rb, dist, start)
+        reported[start] = min(core, reported.get(start, np.inf))
+        return core
+    monkeypatch.setattr(spaces, "_tail_margin", recording)
+    _use_cpus(monkeypatch, 1)
+    if core_failing:
+        with pytest.raises(ValueError, match=f"tail premise fails at eps = {eps_list[-1]}:"):
+            collapse_experiment(profile, eps_list, n=120, seed=seed)
+    else:
+        collapse_experiment(profile, eps_list, n=120, seed=seed)
+    failing = 0
+    for idx, eps in enumerate(eps_list):
+        radii, quats = spaces._draw_points([seed, idx], 120, eps, 8.0, "q8")
+        theta = spaces._quotient_angles(quats, quats, "q8")
+        np.fill_diagonal(theta, 0.0)
+        shift, start = eps * offset / slope, eps * tail
+        u = radii + shift
+        dist = cone_distance(u[:, None], u, theta, slope)
+        core = (radii[:, None] - start) + (radii[None, :] - start) - dist
+        chord = _closest_approach(u[:, None], u[None, :], theta, dist, slope) - (start + shift)
+        assert core.min() == reported[start]
+        assert np.all(chord[core >= 0] >= 0)
+        failing += int(np.sum(core < 0))
+    assert failing == core_failing
+
+
 # ---------------------------------------------------------------------------
 # collapse scales split across processes
 # ---------------------------------------------------------------------------
@@ -655,15 +718,15 @@ def test_collapse_premise_failure_in_a_cut_scale(monkeypatch, lab_profile):
     # caller and the worker share on 2 CPUs; each row block gets its own core
     # margin, so the message shows that the caller combined both blocks, and
     # on one CPU the block stops before it measures eps = 0.25
-    real = spaces._tail_margins
+    real = spaces._tail_margin
     tail = lab_profile.r1 + 0.25
     seen, messages = [], []
 
-    def failing(ra, rb, shift, theta, dist, slope, start):
-        core, apex = real(ra, rb, shift, theta, dist, slope, start)
+    def failing(ra, rb, dist, start):
+        core = real(ra, rb, dist, start)
         seen.append(start / tail)
-        return (core - float(ra.max()) if start == 0.5 * tail else core), apex
-    monkeypatch.setattr(spaces, "_tail_margins", failing)
+        return core - float(ra.max()) if start == 0.5 * tail else core
+    monkeypatch.setattr(spaces, "_tail_margin", failing)
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
             _use_cpus(patch, cpus)
