@@ -500,8 +500,8 @@ def load_profile(path: str) -> ProfilePair:
     Raises ``ValueError`` for a document of unrecognized format or version,
     with a missing key, a construction key or constant other than those
     :func:`save_profile` writes, or a non-numeric value, and
-    :class:`ConstructionError` when the stored samples or constants
-    disagree with the rebuilt profile.
+    :class:`ConstructionError` when the stored grid, samples (compared on
+    the rebuilt grid) or constants disagree with the rebuilt profile.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -524,11 +524,15 @@ def load_profile(path: str) -> ProfilePair:
     neck_slope = float(_numeric("construction.neck_slope", params["neck_slope"]))
     r1, delta = (float(_numeric(key, doc[key])) for key in ("r1", "delta"))
     profile = build_profile(neck_slope)
-    rs = _numeric("grid", doc["grid"], None).astype(float)
+    grid = np.linspace(0.0, profile.r1 + 1.0, _SAMPLES)
+    stored = _numeric("grid", doc["grid"], None).astype(float)
+    # written so that a NaN entry or a grid of another length fails
+    if not (stored.shape == grid.shape and np.max(np.abs(grid - stored)) <= 1e-12):
+        raise ConstructionError("stored grid disagrees with the rebuilt profile")
     for key, fn in (("rho", profile.rho), ("phi", profile.phi)):
-        stored = _numeric(key, doc[key], rs.shape).astype(float)
+        stored = _numeric(key, doc[key], grid.shape).astype(float)
         # written so that a NaN or infinite value fails
-        if not np.max(np.abs(fn(rs) - stored)) <= 1e-9:
+        if not np.max(np.abs(fn(grid) - stored)) <= 1e-9:
             raise ConstructionError(
                 f"stored {key} samples disagree with the rebuilt profile")
     if not (abs(profile.r1 - r1) <= 1e-12

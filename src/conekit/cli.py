@@ -21,8 +21,8 @@ lives in a numeric layer, build-profile's ``--neck-slope``, is read from
 ``bump.REFERENCE_NECK_SLOPE`` inside the command.
 
 Exit codes: 0 success; 1 when a verification fails or a construction
-claim fails (an infeasible build, or a profile.json whose stored samples
-or constants disagree with its rebuild); 2 for usage, input and I/O
+claim fails (an infeasible build, or a profile.json whose stored grid,
+samples or constants disagree with its rebuild); 2 for usage, input and I/O
 errors (bad or unknown arguments, a missing file or directory, a profile
 document of unrecognized format or version, or with missing, extra or
 non-numeric keys); 141 (128 + SIGPIPE) when the reader of standard
@@ -140,10 +140,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
             json.dump({"seed": result.seed, "n": result.n,
                        "rows": [vars(r) for r in result.rows]}, fh, indent=2)
             fh.write("\n")
-    viol = result.gh_violations()
-    verdict = "decreasing" if viol == 0 else f"decreasing with {viol} violation(s)"
-    print(f"gh_bound column: {verdict}; diameter max/min = "
-          f"{result.diameter_ratio():.4f}")
+    print(f"diameter max/min = {result.diameter_ratio():.4f}")
     print(f"table written to {path}")
     return 0
 

@@ -172,7 +172,7 @@ def _proximity(radii, quats, group, rows: slice) -> np.ndarray:
 
     The angle is the round quotient angle, so the measure ignores the
     c-shrink of the link that the collapse metric applies; picking by the
-    metric's own length is the ROADMAP's faithful-graph item.
+    metric's own length is ROADMAP direction 2.
     """
     ang = _quotient_angles(quats[rows], quats, group)
     dr = radii[rows, None] - radii[None, :]
@@ -442,7 +442,7 @@ def cone_distance(u, v, theta, slope: float) -> np.ndarray:
     as ``(u - v)^2 + 4uv sin^2(phi/2)`` so near pairs lose nothing to
     cancellation.  The arguments broadcast.
     """
-    return _chord(u, v, _half_sine2(theta, slope))
+    return _chord(u, v, 0.0, _half_sine2(theta, slope))
 
 
 def _half_sine2(theta, slope: float) -> np.ndarray:
@@ -450,9 +450,12 @@ def _half_sine2(theta, slope: float) -> np.ndarray:
     return np.sin(0.5 * np.minimum(slope * np.asarray(theta), np.pi)) ** 2
 
 
-def _chord(u, v, s2) -> np.ndarray:
-    """Cone distance between cone radii u and v at ``s2 = sin^2(phi/2)``."""
-    return np.sqrt((u - v) ** 2 + 4.0 * u * v * s2)
+def _chord(ra, rb, shift, s2) -> np.ndarray:
+    """Distance at ``s2 = sin^2(phi/2)`` in the cone of cone radius ``r + shift``.
+
+    The radial term is taken before the shift, which can round radii away.
+    """
+    return np.sqrt((ra - rb) ** 2 + 4.0 * (ra + shift) * (rb + shift) * s2)
 
 
 def gh_upper_bound(d1: np.ndarray, d2: np.ndarray) -> float:
@@ -491,35 +494,41 @@ class CollapseResult:
     seed: int
     n: int
 
-    def gh_violations(self) -> int:
-        """Number of increases along the gh_bound column."""
-        gh = [row.gh_bound for row in self.rows]
-        return sum(1 for a, b in zip(gh, gh[1:]) if b > a)
-
     def diameter_ratio(self) -> float:
         ds = [row.diameter for row in self.rows]
         return max(ds) / min(ds)
 
 
-def _tail_margin(ra, rb, dist, start) -> float:
-    """How far the closed form clears the tail premise on a block of pairs.
+def _annulus_bounds(slope: float, offset: float, tail: float,
+                    eps: float) -> tuple[float, float]:
+    """The collapse's closed forms over the annulus ``[eps, inf)`` of scale eps.
 
-    On the tail ``r >= start`` the smooth metric is the cone with cone
-    radius ``u = r + shift``, and ``dist`` is that cone's distance between
-    radii ``ra`` (a column) and ``rb`` (a row).  It is the smooth metric's
-    distance when no pair is farther apart than ``(r_a - start) + (r_b -
-    start)``, the radial length of any path that enters the core.  Returns
-    the smallest slack, which is >= 0 when the premise holds.
+    On the tail ``r >= eps*tail``, ``eps^2 g`` is the cone with cone radius
+    ``r + s``, its apex shifted by ``s = eps*offset/slope``, and fibers are
+    at most the Q8 quotient diameter pi/3 apart.  Returns ``(gap, margin)``:
 
-    The premise also keeps each cone chord in the tail.  On the developed
+    - ``gap = s*sin(slope*pi/6)``, the supremum of half the difference of the
+      shifted and the exact cone distance: on the developed cone the shift
+      moves A and B by s along their rays, which changes ``|AB|`` by at most
+      ``2s sin(phi/2)``, with equality at ``r_a = r_b``.
+    - ``margin = 2*eps*[(1 - tail) - (1 + offset/slope)*sin(slope*pi/6)]``,
+      the least ``(r_a - eps*tail) + (r_b - eps*tail) - d``, d the shifted
+      cone's distance: the radial length of any path through the core, less
+      the closed form.  d grows with the angle and is 1-Lipschitz in each
+      radius, so the least sits at ``r_a = r_b = eps`` and the angle pi/3.
+      When it is >= 0 no geodesic leaves the tail, so d is the smooth metric's.
+
+    The premise keeps each cone chord in the tail too.  On the developed
     cone the chord from A (cone radius u_a) to B (u_b) is a plane segment;
-    let P be its point nearest the apex, at distance p.  Then ``dist = |AP|
-    + |PB| >= (u_a - p) + (u_b - p)``, while the premise gives ``dist <=
-    (u_a - u0) + (u_b - u0)`` with ``u0 = start + shift``, so ``p >= u0``.
-    A chord through the apex (``phi = pi``) is ``u_a + u_b`` long and
-    already fails the premise.
+    let P be its point nearest the apex, at distance p.  Then ``d = |AP| +
+    |PB| >= (u_a - p) + (u_b - p)``, while the premise gives ``d <= (u_a -
+    u0) + (u_b - u0)`` with ``u0 = eps*tail + s``, so ``p >= u0``.  A chord
+    through the apex (``phi = pi``) is ``u_a + u_b`` long and fails the
+    premise.
     """
-    return float(((ra - start) + (rb - start) - dist).min())
+    sine = np.sin(slope * np.pi / 6)
+    gap = eps * offset / slope * sine
+    return float(gap), float(2.0 * eps * ((1.0 - tail) - (1.0 + offset / slope) * sine))
 
 
 def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
@@ -529,35 +538,28 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
 
     For each scale eps the metric ``eps^2 g`` is compared with the exact
     cone over the round quotient link at slope ``c = profile.neck_slope`` on
-    a sample of the annulus [eps, r_outer], so ``r_outer`` must exceed the
-    largest eps (ValueError otherwise).  Beyond the tail start
-    ``eps*(r1 + 1/4)`` the build certifies ``phi = 1`` and
-    ``rho_eps(r) = c*r + eps*b``, so there ``eps^2 g`` is the same cone with
-    its apex shifted by ``eps*b/c``.  When ``_tail_margin`` shows that no
-    path through the core is shorter than the shifted cone's distance, no
-    pair's geodesic leaves the tail.  Then both metrics are closed forms of
-    one half-angle sine ``sin^2(min(c*theta, pi)/2)`` per pair, computed
-    once per block, and ``gh_bound`` is ``gh_upper_bound`` of the two,
-    which shrinks linearly in eps; otherwise ValueError names eps and the
-    margin.
+    a sample of the annulus [eps, r_outer]; ``r_outer`` must exceed the
+    largest eps.  Beyond ``eps*(r1 + 1/4)`` the build certifies ``phi = 1``
+    and ``rho_eps(r) = c*r + eps*b``: the same cone, its apex shifted by
+    ``eps*b/c``.  ``_annulus_bounds`` checks once, before any fork, that no
+    geodesic leaves this tail (ValueError naming the slope otherwise), and
+    ``gh_bound`` is its gap ``eps*(b/c)*sin(c*pi/6)``, linear in eps.
 
     The graph-geodesic space of ``eps^2 g`` on the same points is the thing
-    under test: each row reports its diameter and its stretch
-    ``d_graph / d_exact`` (max, mean and min over ordered pairs of distinct
-    points).  The pair (s, t) is read from source s's Dijkstra row.  No
-    n x n array is made: each block of ``_BLOCK // n`` source rows is
-    searched and at once reduced against the closed forms of the same rows.
+    under test: each row reports its diameter and its stretch ``d_graph /
+    d_exact`` against the shifted cone (max, mean and min over ordered pairs
+    of distinct points; the pair (s, t) is read from source s's Dijkstra
+    row).  Each block of ``_BLOCK // n`` source rows is searched and at once
+    reduced against both cones, from one ``sin^2(min(c*theta, pi)/2)`` per
+    pair, so no n x n array is made.  RuntimeError if a block's
+    ``gh_upper_bound`` exceeds the closed-form gap by more than 1e-12 of it.
 
-    The work items are the pairs (scale, row block), in order, split into
-    one contiguous block per CPU of the affinity mask (``_in_blocks``): the
-    caller runs the first block and a forked worker each other one, so a
-    lone scale uses every CPU too.  A process builds the graph of each scale
-    it meets once, never forks, and writes each item's partial reductions
-    into that item's slot of a shared anonymous map; the caller combines
-    them in item order, so the rows do not depend on the number of CPUs.
-    Input is validated before any fork, and the failed premise is reported
-    by the caller, for the first failing eps.  On one CPU
-    (``taskset -c 0``) nothing is forked.
+    The work items, the pairs (scale, row block) in order, are split by
+    ``_in_blocks``, so a lone scale uses every CPU too.  A process builds
+    the graph of each scale it meets once, never forks, and writes each
+    item's partial reductions into its slot of a shared anonymous map; the
+    caller combines them in item order, so the rows do not depend on the
+    number of CPUs.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -581,54 +583,50 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     slope = profile.neck_slope
     tail = profile.r1 + 0.25
     offset = float(profile.rho(tail)) - slope * tail  # b in rho = c*r + b on the tail
+    gaps, margins = zip(*(_annulus_bounds(slope, offset, tail, eps) for eps in eps_arr))
+    if not margins[0] >= 0:  # NaN fails too
+        raise ValueError(f"tail premise fails at neck slope {slope!r}: core-detour margin "
+                         f"{margins[0] / eps_arr[0]:.3g}*eps over the annulus, below 0")
+
     step = max(1, _BLOCK // n)  # source rows per work item
     per_scale = -(-n // step)
-    # per item: gh, core margin, row max, stretch max, min and sum
-    shared = mmap.mmap(-1, 8 * 6 * len(eps_arr) * per_scale)
-    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), per_scale, 6)
+    # per item: drawn gh, row max, stretch max, min and sum
+    shared = mmap.mmap(-1, 8 * 5 * len(eps_arr) * per_scale)
+    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), per_scale, 5)
 
     def measure(first, stop):
-        scale, failed = None, False
+        scale = None
         for item in range(first, stop):
             idx, part = divmod(item, per_scale)
             if idx != scale:
-                if failed:
-                    # the caller reports the first failing eps, and every
-                    # item of it ran; the items this block leaves are later
-                    return
                 scale, eps = idx, eps_arr[idx]
                 radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
                 edges = neighbor_graph(radii, quats, "q8")
                 graph = _adjacency(n, edges, weigh(profile.rescale(eps), radii, quats,
                                                    edges, "q8"))
-                shift = eps * offset / slope
-                u = radii + shift  # cone radii of eps^2 g on the tail
+                shift = eps * offset / slope  # the tail's apex shift
             lo, hi = part * step, min(part * step + step, n)
             dist = _dijkstra_rows(graph, lo, hi)
             s2 = _half_sine2(_quotient_angles(quats[lo:hi], quats, "q8"), slope)
             s2[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
             ra = radii[lo:hi, None]
-            cone = _chord(ra, radii, s2)
-            smooth = _chord(u[lo:hi, None], u, s2)
-            core = _tail_margin(ra, radii, smooth, eps * tail)
+            cone = _chord(ra, radii, 0.0, s2)
+            smooth = _chord(ra, radii, shift, s2)
             # a source's own entry, 0 in both metrics, counts as 0 and is no pair
             apart = smooth > 0
             stretch = np.divide(dist, smooth, out=np.zeros_like(smooth), where=apart)
-            table[idx, part] = (gh_upper_bound(smooth, cone), core, diameter(dist),
+            table[idx, part] = (gh_upper_bound(smooth, cone), diameter(dist),
                                 stretch.max(), stretch.min(where=apart, initial=np.inf),
                                 stretch.sum())
-            failed = failed or core < 0
 
     _in_blocks(len(eps_arr) * per_scale, measure)
     rows = []
-    for eps, parts in zip(eps_arr, table.tolist()):
-        gh, core, diam, stretch_max, stretch_min, stretch_sum = zip(*parts)
-        if min(core) < 0:
-            raise ValueError(
-                f"tail premise fails at eps = {eps}: core-detour margin "
-                f"{min(core) / eps:.3g}*eps (it must be >= 0 for the closed-form cone "
-                "distance to be the smooth metric's)")
-        rows.append(CollapseRow(eps=eps, gh_bound=max(gh), diameter=max(diam),
+    for eps, gap, parts in zip(eps_arr, gaps, table.tolist()):
+        drawn, diam, stretch_max, stretch_min, stretch_sum = zip(*parts)
+        if max(drawn) > gap * (1 + 1e-12):
+            raise RuntimeError(f"drawn pairs at eps = {eps} have a GH gap {max(drawn)!r} "
+                               f"above its closed-form supremum {gap!r}")
+        rows.append(CollapseRow(eps=eps, gh_bound=gap, diameter=max(diam),
                                 stretch_max=max(stretch_max),
                                 stretch_mean=sum(stretch_sum) / (n * (n - 1)),
                                 stretch_min=min(stretch_min)))

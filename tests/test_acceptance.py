@@ -153,7 +153,7 @@ def test_collapse_experiment():
     gh = [row.gh_bound for row in result.rows]
     # on the tail no first-order edge is shorter than the cone chord
     stretch_min = min(row.stretch_min for row in result.rows)
-    ok = (result.gh_violations() <= 1
+    ok = (all(b < a for a, b in zip(gh, gh[1:]))
           and result.diameter_ratio() <= 1.2
           and stretch_min >= 1 - 1e-12
           and elapsed < 300.0)

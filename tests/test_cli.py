@@ -165,15 +165,23 @@ def _edited_profile(built, tmp_path, edit):
     (lambda doc: doc.update(delta=float("nan")), "stored constants"),
     (lambda doc: doc.update(delta=float("inf")), "stored constants"),
     (lambda doc: doc.update(r1=float("nan")), "stored constants"),
-], ids=["shifted-rho-sample", "nan-rho-sample", "nan-delta", "inf-delta", "nan-r1"])
+    (lambda doc: doc.update(grid=[], rho=[], phi=[]), "stored grid"),
+    (lambda doc: doc["grid"].__setitem__(3, float("nan")), "stored grid"),
+    (lambda doc: doc["grid"].__setitem__(10, doc["grid"][10] + 0.01), "stored grid"),
+], ids=["shifted-rho-sample", "nan-rho-sample", "nan-delta", "inf-delta", "nan-r1",
+        "empty-samples", "nan-grid-entry", "shifted-grid-entry"])
 def test_verify_tampered_profile_is_a_construction_failure(built, tmp_path, capsys,
                                                             edit, message):
     # NaN fails every comparison and inf > inf is false, so each check must
-    # fail unless its error is within tolerance
+    # fail unless its error is within tolerance; the samples are compared on
+    # the rebuilt grid, so a tampered grid is never evaluated and warns of
+    # nothing
     path, out = _edited_profile(built, tmp_path, edit)
     code = main(["verify", "--profile", str(path), "--out", str(out)])
     assert code == 1
-    assert f"construction failed: {message} disagree" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"construction failed: {message} disagree")
     assert list(out.iterdir()) == []
 
 
@@ -231,7 +239,7 @@ def test_collapse_table(tmp_path, capsys):
                  "--n", "150", "--seed", "3"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "gh_bound column" in out
+    assert out.splitlines()[0].startswith("diameter max/min = ")
     lines = (tmp_path / "collapse.csv").read_text().splitlines()
     assert lines[1] == "eps,gh_bound,diameter,stretch_max,stretch_mean,stretch_min"
     assert len(lines) == 4
@@ -252,13 +260,37 @@ def test_collapse_json_rows(tmp_path):
 
 
 def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
-    # the premise is checked on the drawn pairs: at slope 0.5 and seed 1 the
-    # farthest pairs at eps = 1 are shorter through the core (margin -0.09 eps)
-    code = main(["collapse", "--out", str(tmp_path), "--neck-slope", "0.5",
+    # the premise is a closed form of the slope over the whole annulus: at
+    # c = 0.3 the pairs at r_a = r_b = eps a quotient diameter apart are
+    # shorter through the core (margin -0.0275 eps), whatever the draw
+    code = main(["collapse", "--out", str(tmp_path), "--neck-slope", "0.3",
                  "--seed", "1"])
     assert code == 2
-    assert "tail premise fails at eps = 1.0" in capsys.readouterr().err
+    assert "tail premise fails at neck slope 0.3: core-detour margin -0.0275*eps" \
+        in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_collapse_on_the_reference_profile(built, tmp_path):
+    # at c = exp(-100) the apex shift eps*b/c is ~1e43, yet the radial term
+    # survives: gh_bound is the closed form, and the graph is measured
+    # against the right metric
+    from conekit import spaces
+
+    profile = load_profile(str(built / "profile.json"))
+    code = main(["collapse", "--profile", str(built / "profile.json"),
+                 "--out", str(tmp_path), "--n", "200", "--seed", "1"])
+    assert code == 0
+    with open(tmp_path / "collapse.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    c, tail = profile.neck_slope, profile.r1 + 0.25
+    offset = float(profile.rho(tail)) - c * tail
+    assert [float(row["eps"]) for row in rows] == [1.0, 0.5, 0.25, 0.125]
+    for row in rows:
+        eps = float(row["eps"])
+        assert float(row["gh_bound"]) == spaces._annulus_bounds(c, offset, tail, eps)[0]
+        assert float(row["stretch_mean"]) < 1.2
+        assert float(row["stretch_min"]) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("rmax", ["1.0", "0.5"])

@@ -507,8 +507,7 @@ def test_collapse_single_eps(lab_profile):
 def test_collapse_small(lab_profile):
     result = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=220, seed=1)
     gh = [row.gh_bound for row in result.rows]
-    assert result.gh_violations() <= 1
-    assert gh[-1] < gh[0]
+    assert all(b < a for a, b in zip(gh, gh[1:]))
     assert result.diameter_ratio() <= 1.25
 
 
@@ -516,6 +515,13 @@ def _tail_offset(profile):
     """b in rho = c*r + b on the tail, read off the profile itself."""
     t = profile.r1 + 1.0
     return float(profile.rho(t)) - profile.neck_slope * t
+
+
+def _closed_gap(profile, eps):
+    """The collapse's closed-form gh_bound at scale eps, from its own tail start."""
+    c, tail = profile.neck_slope, profile.r1 + 0.25
+    offset = float(profile.rho(tail)) - c * tail
+    return spaces._annulus_bounds(c, offset, tail, eps)[0]
 
 
 def test_collapse_shares_one_graph_per_eps(lab_profile):
@@ -544,7 +550,8 @@ def test_collapse_shares_one_graph_per_eps(lab_profile):
         off = ~np.eye(120, dtype=bool)
         stretch = dist[off] / smooth[off]
         assert row.diameter == dist.max()
-        assert row.gh_bound == pytest.approx(0.5 * np.abs(smooth - cone).max(), abs=1e-12)
+        assert row.gh_bound == _closed_gap(lab_profile, row.eps)
+        assert 0.5 * np.abs(smooth - cone).max() <= row.gh_bound
         assert row.stretch_max == pytest.approx(stretch.max(), rel=1e-12)
         assert row.stretch_mean == pytest.approx(stretch.mean(), rel=1e-12)
         assert row.stretch_min == pytest.approx(stretch.min(), rel=1e-12)
@@ -559,15 +566,39 @@ def test_collapse_gh_within_analytic_bound(lab_profile):
     assert bound == pytest.approx(0.5170, abs=1e-4)
     result = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=150, seed=1)
     for row in result.rows:
-        assert 0.0 < row.gh_bound <= row.eps * bound
+        assert row.gh_bound == _closed_gap(lab_profile, row.eps)
+        assert row.gh_bound == pytest.approx(row.eps * bound, rel=1e-12)
 
 
-def test_collapse_tail_premise_fails_at_steep_slope():
-    # at c = 0.5 the farthest pairs at eps = 1 are closer through the core
-    # than along the cone chord, so the closed form is not the smooth metric
-    with pytest.raises(ValueError, match=r"tail premise fails at eps = 1\.0: "
-                                         r"core-detour margin -0\.0"):
-        collapse_experiment(bump.build_profile(0.5), n=800, seed=1)
+def test_collapse_tail_premise_fails_at_steep_slope(monkeypatch):
+    # the pairs at r_a = r_b = eps a quotient diameter apart are closer
+    # through the core than along the cone chord, so the closed form is not
+    # the smooth metric; the premise is the slope's, checked before any fork
+    forks = _use_cpus(monkeypatch, 2)
+    for slope, margin in ((0.3, "-0.0275"), (0.5, "-0.174")):
+        with pytest.raises(ValueError, match=rf"tail premise fails at neck slope {slope}: "
+                                             rf"core-detour margin {margin}\*eps"):
+            collapse_experiment(bump.build_profile(slope), n=100, seed=1)
+    assert len(forks) == 0
+
+
+def test_collapse_runs_at_the_last_slope_whose_premise_holds():
+    # the whole-annulus margin is +0.010*eps at c = 0.25
+    result = collapse_experiment(bump.build_profile(0.25), (1.0, 0.5), n=100, seed=1)
+    assert min(row.stretch_min for row in result.rows) >= 1 - 1e-12
+
+
+def test_collapse_checks_the_drawn_gap_against_the_closed_form(monkeypatch, lab_profile):
+    # every block's drawn pairs are measured with gh_upper_bound; half the
+    # closed-form gap is below the drawn gap, so the check must fire
+    real = spaces._annulus_bounds
+
+    def halved(slope, offset, tail, eps):
+        gap, margin = real(slope, offset, tail, eps)
+        return 0.5 * gap, margin
+    monkeypatch.setattr(spaces, "_annulus_bounds", halved)
+    with pytest.raises(RuntimeError, match=r"drawn pairs at eps = 1\.0 have a GH gap"):
+        collapse_experiment(lab_profile, (1.0, 0.5), n=100, seed=1)
 
 
 def _closest_approach(ua, ub, theta, dist, slope):
@@ -586,48 +617,35 @@ def _closest_approach(ua, ub, theta, dist, slope):
     return closest
 
 
-@pytest.mark.parametrize("slope, seed, eps_list, core_failing", [
-    (0.05, 1, (1.0, 0.5, 0.25, 0.125), 0),
-    (0.5, 1, (1.0, 0.5, 0.25, 0.125), 0),
-    (0.9, 14, (1.0, 0.99, 0.98, 0.97), 4),
-])
-def test_tail_premise_keeps_every_chord_in_the_tail(monkeypatch, slope, seed, eps_list,
-                                                   core_failing):
-    # per pair of the collapse's own points: wherever no path through the
-    # core is shorter than the shifted cone's distance, the cone chord keeps
-    # its closest approach to the apex at u >= start + shift; the steep case
-    # has core-failing pairs at eps = 0.97, so the implication is not vacuous
+@pytest.mark.parametrize("slope", [0.05, 0.25, 0.3])
+def test_annulus_bounds_match_a_brute_force_grid(slope):
+    # 401 x 401 radii on [eps, 8] and 121 angles on [0, pi/3], the Q8
+    # quotient diameter: the grid holds the extreme pairs r_a = r_b = eps at
+    # pi/3, so it attains both closed forms; wherever a pair meets the tail
+    # premise, its cone chord keeps its closest approach to the apex in the
+    # tail.  The margin is +0.164, +0.010 and -0.028 eps at the three slopes.
     profile = bump.build_profile(slope)
     tail = profile.r1 + 0.25
     offset = float(profile.rho(tail)) - slope * tail
-    real = spaces._tail_margin
-    reported = {}
-
-    def recording(ra, rb, dist, start):
-        core = real(ra, rb, dist, start)
-        reported[start] = min(core, reported.get(start, np.inf))
-        return core
-    monkeypatch.setattr(spaces, "_tail_margin", recording)
-    _use_cpus(monkeypatch, 1)
-    if core_failing:
-        with pytest.raises(ValueError, match=f"tail premise fails at eps = {eps_list[-1]}:"):
-            collapse_experiment(profile, eps_list, n=120, seed=seed)
-    else:
-        collapse_experiment(profile, eps_list, n=120, seed=seed)
-    failing = 0
-    for idx, eps in enumerate(eps_list):
-        radii, quats = spaces._draw_points([seed, idx], 120, eps, 8.0, "q8")
-        theta = spaces._quotient_angles(quats, quats, "q8")
-        np.fill_diagonal(theta, 0.0)
-        shift, start = eps * offset / slope, eps * tail
-        u = radii + shift
-        dist = cone_distance(u[:, None], u, theta, slope)
-        core = (radii[:, None] - start) + (radii[None, :] - start) - dist
-        chord = _closest_approach(u[:, None], u[None, :], theta, dist, slope) - (start + shift)
-        assert core.min() == reported[start]
+    eps = 0.5
+    gap, margin = spaces._annulus_bounds(slope, offset, tail, eps)
+    shift, start = eps * offset / slope, eps * tail
+    radii = np.linspace(eps, 8.0, 401)
+    ua, ub = radii[:, None] + shift, radii[None, :] + shift
+    worst_gap, worst_margin, met = 0.0, np.inf, 0
+    for theta in np.linspace(0.0, np.pi / 3, 121):
+        smooth = cone_distance(ua, ub, theta, slope)
+        cone = cone_distance(radii[:, None], radii[None, :], theta, slope)
+        core = (radii[:, None] - start) + (radii[None, :] - start) - smooth
+        chord = _closest_approach(ua, ub, theta, smooth, slope) - (start + shift)
         assert np.all(chord[core >= 0] >= 0)
-        failing += int(np.sum(core < 0))
-    assert failing == core_failing
+        met += int(np.sum(core >= 0))
+        worst_gap = max(worst_gap, 0.5 * float(np.abs(smooth - cone).max()))
+        worst_margin = min(worst_margin, float(core.min()))
+    assert worst_gap == pytest.approx(gap, rel=1e-13)
+    assert worst_margin == pytest.approx(margin, rel=1e-13)
+    assert met > 0
+    assert (margin >= 0) == (slope < 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -696,46 +714,6 @@ def test_collapse_holds_no_distance_matrix(monkeypatch, lab_profile):
         tracemalloc.stop()
     assert sizes and max(sizes) < 8 * n * n
     assert peak < 8 * n * n, f"traced peak {peak / (8 * n * n):.2f} x 8n^2 bytes"
-
-
-def test_collapse_premise_failure_in_a_worker(monkeypatch):
-    # at slope 0.9, n = 120 and seed 14 only the last scale fails its tail
-    # premise; on 2 CPUs that scale is the worker's, and the caller reports it
-    profile = bump.build_profile(0.9)
-    messages = []
-    for cpus in (1, 2):
-        with monkeypatch.context() as patch:
-            forks = _use_cpus(patch, cpus)
-            with pytest.raises(ValueError, match="tail premise fails at eps = 0.97:") as exc:
-                collapse_experiment(profile, (1.0, 0.99, 0.98, 0.97), n=120, seed=14)
-            assert len(forks) == cpus - 1
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-
-
-def test_collapse_premise_failure_in_a_cut_scale(monkeypatch, lab_profile):
-    # a failure injected into eps = 0.5, whose two work items at n = 200 the
-    # caller and the worker share on 2 CPUs; each row block gets its own core
-    # margin, so the message shows that the caller combined both blocks, and
-    # on one CPU the block stops before it measures eps = 0.25
-    real = spaces._tail_margin
-    tail = lab_profile.r1 + 0.25
-    seen, messages = [], []
-
-    def failing(ra, rb, dist, start):
-        core = real(ra, rb, dist, start)
-        seen.append(start / tail)
-        return core - float(ra.max()) if start == 0.5 * tail else core
-    monkeypatch.setattr(spaces, "_tail_margin", failing)
-    for cpus in (1, 2, 3):
-        with monkeypatch.context() as patch:
-            _use_cpus(patch, cpus)
-            with pytest.raises(ValueError, match="tail premise fails at eps = 0.5:") as exc:
-                collapse_experiment(lab_profile, EPS4[:3], n=200, seed=5)
-        messages.append(str(exc.value))
-        if cpus == 1:
-            assert seen == [1.0, 1.0, 0.5, 0.5]
-    assert messages[0] == messages[1] == messages[2]
 
 
 @pytest.mark.parametrize("failing", ["child", "caller", "both"])
