@@ -238,7 +238,6 @@ class QuadratureTable:
     grid: np.ndarray
     first_antiderivative: np.ndarray
     second_antiderivative: np.ndarray
-    tol: float
 
     @property
     def mass(self) -> float:
@@ -273,7 +272,12 @@ class QuadratureTable:
 
 
 def build_table(bump: BumpSpec) -> QuadratureTable:
-    """Cumulative integrals of the bump on ``CELLS_PER_SEGMENT`` panels a segment."""
+    """Cumulative integrals of the bump on ``CELLS_PER_SEGMENT`` panels a segment.
+
+    Certified claim: Gauss-Legendre ``ORDER`` and ``ORDER // 2`` agree to
+    1e-12 on both cumulative integrals, which fails when the bump is not
+    smooth inside a panel.
+    """
     grid = _panel_edges(bump.segments, CELLS_PER_SEGMENT)
     a, b = grid[:-1], grid[1:]
 
@@ -289,9 +293,12 @@ def build_table(bump: BumpSpec) -> QuadratureTable:
 
     e_hi, p_hi = cumulative(ORDER)
     e_lo, p_lo = cumulative(ORDER // 2)
-    tol = max(np.max(np.abs(e_hi - e_lo)), np.max(np.abs(p_hi - p_lo)))
+    gap = max(np.max(np.abs(e_hi - e_lo)), np.max(np.abs(p_hi - p_lo)))
+    if not gap <= 1e-12:  # NaN fails too
+        raise ConstructionError(
+            f"quadrature claim failed: orders {ORDER} and {ORDER // 2} differ by {gap!r}")
     return QuadratureTable(bump=bump, grid=grid, first_antiderivative=e_hi,
-                           second_antiderivative=p_hi, tol=tol)
+                           second_antiderivative=p_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +346,10 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable) -> RadialFunction
         raise ConstructionError(
             f"claim failed: phi(1/4 + r1) = {phi(sup_hi + r1)!r} != 1")
     body = np.linspace(0.0, sup_hi + r1 + 4.0, 4 * _PROFILE_CHECKS)
-    if np.max(phi(body)) > 1.0 + 1e-10:
+    values = phi(body)
+    if np.max(values) > 1.0 + 1e-10:
         raise ConstructionError("claim failed: phi exceeds 1")
-    interior = body[body > 0]
-    if np.min(phi(interior)) <= 0.0:
+    if np.min(values[body > 0]) <= 0.0:
         raise ConstructionError("claim failed: phi not positive on (0, inf)")
     return phi
 
@@ -479,7 +486,9 @@ def save_profile(profile: ProfilePair, path: str) -> None:
         fh.write("\n")
 
 
-_DOC_KEYS = ("r1", "delta", "construction", "grid", "rho", "phi")
+# the keys save_profile writes
+_DOC_KEYS = ("format", "version", "neck_slope", "r1", "delta", "construction",
+             "grid", "rho", "phi")
 
 
 def _numeric(key: str, value, shape=()) -> np.ndarray:
@@ -498,19 +507,20 @@ def load_profile(path: str) -> ProfilePair:
     """Rebuild a profile from its JSON document and verify the stored samples.
 
     Raises ``ValueError`` for a document of unrecognized format or version,
-    with a missing key, a construction key or constant other than those
-    :func:`save_profile` writes, or a non-numeric value, and
+    with a missing or extra key, a construction key or constant other than
+    those :func:`save_profile` writes, or a non-numeric value, and
     :class:`ConstructionError` when the stored grid, samples (compared on
-    the rebuilt grid) or constants disagree with the rebuilt profile.
+    the rebuilt grid) or constants (the top-level neck slope against the
+    construction's among them) disagree with the rebuilt profile.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if (not isinstance(doc, dict) or doc.get("format") != _FORMAT
             or doc.get("version") != _VERSION):
         raise ValueError(f"unrecognized profile document in {path}")
-    missing = [key for key in _DOC_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"profile document {path} lacks key(s) {', '.join(missing)}")
+    wrong = sorted(doc.keys() ^ set(_DOC_KEYS))
+    if wrong:
+        raise ValueError(f"profile document {path} keys {wrong} differ from {sorted(_DOC_KEYS)}")
     params = doc["construction"]
     if not isinstance(params, dict):
         raise ValueError(f"profile key 'construction' is not an object: {params!r}")
@@ -522,7 +532,8 @@ def load_profile(path: str) -> ProfilePair:
         if params[key] != value:
             raise ValueError(f"profile key 'construction.{key}' is {params[key]!r}, not {value!r}")
     neck_slope = float(_numeric("construction.neck_slope", params["neck_slope"]))
-    r1, delta = (float(_numeric(key, doc[key])) for key in ("r1", "delta"))
+    stored_slope, r1, delta = (float(_numeric(key, doc[key]))
+                               for key in ("neck_slope", "r1", "delta"))
     profile = build_profile(neck_slope)
     grid = np.linspace(0.0, profile.r1 + 1.0, _SAMPLES)
     stored = _numeric("grid", doc["grid"], None).astype(float)
@@ -535,7 +546,8 @@ def load_profile(path: str) -> ProfilePair:
         if not np.max(np.abs(fn(grid) - stored)) <= 1e-9:
             raise ConstructionError(
                 f"stored {key} samples disagree with the rebuilt profile")
-    if not (abs(profile.r1 - r1) <= 1e-12
+    # written so that a NaN constant fails
+    if not (stored_slope == neck_slope and abs(profile.r1 - r1) <= 1e-12
             and abs(profile.delta - delta) <= 1e-12 * abs(profile.delta)):
         raise ConstructionError("stored constants disagree with the rebuilt profile")
     return profile

@@ -223,7 +223,7 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError("--b3 fixes chi and tau; it cannot be combined with --chi or --tau")
     if hasattr(args, "eps"):
         try:
-            args.eps = tuple(float(x) for x in args.eps.split(",") if x.strip())
+            args.eps = tuple(float(x) for x in args.eps.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --eps list: {exc}") from None
     if hasattr(args, "out") and not os.path.isdir(args.out):

@@ -2,13 +2,11 @@
 
 The construction's curvature argument splits the radial line at
 r1 + 1/16, r1 + 3/16 and r1 + 1/4; each piece carries its own declared
-bounds and auxiliary inequalities.  Verification here is sampling plus
-endpoint refinement, not interval arithmetic: a report certifies "no grid
-violation at tolerance tol", and says so explicitly in its label.  A
-report makes three ``ricci_curve`` calls: one per refined endpoint and one
-on the refined grid.  A radius gets the same values in any batch, so the
-batched refinement keeps exactly the radii a one-radius-at-a-time
-bisection would.
+bounds and auxiliary inequalities.  Verification here is sampling, not
+interval arithmetic: a report evaluates one fixed grid, a uniform grid
+plus 48 halvings of its first step toward each endpoint, in one
+``ricci_curve`` call, and certifies "no grid violation at tolerance tol"
+on it, as its label says.  tol sets only the comparison, never the grid.
 
 Bounds involving the reference constants (e.g. 2 - 2*exp(-200)) collapse
 to their representable 64-bit values; each check carries the symbolic
@@ -66,38 +64,32 @@ def standard_regions(profile: ProfilePair, r_max: float = 3.0) -> tuple[Region, 
                  for lab, a, b in zip(labels, cuts[:-1], cuts[1:]))
 
 
-# endpoint bisections per side before the refinement stops
-_MAX_BISECTIONS = 48
+# halvings of the first grid step toward each endpoint
+_HALVINGS = 48
 
 
-def _refined_radii(profile: ProfilePair, lo: float, hi: float, n_grid: int,
-                   tol: float) -> np.ndarray:
-    """Base grid plus bisection refinement toward both endpoints.
-
-    Near each endpoint the first subinterval is halved until consecutive
-    Ricci samples move by less than tol, so boundary minima are not missed
-    by the uniform grid.  All ``_MAX_BISECTIONS + 1`` candidate radii of an
-    endpoint are evaluated in one ``ricci_curve`` call and the radii up to
-    the first small move are kept; when no move gets below tol the
-    refinement stops at ``_MAX_BISECTIONS`` halvings without saying so.
-    """
-    base = np.linspace(lo, hi, n_grid)
-    halvings = 0.5 ** np.arange(_MAX_BISECTIONS + 1)
-    extras = []
-    for anchor, direction in ((lo, +1.0), (hi, -1.0)):
-        pts = anchor + direction * ((hi - lo) / (n_grid - 1) * halvings)
-        vals = ricci_curve(profile, pts)
-        settled = np.flatnonzero(np.abs(np.diff(vals, axis=1)).max(axis=0) < tol)
-        extras.append(pts[1:settled[0] + 2] if settled.size else pts[1:])
-    return np.unique(np.concatenate([base, *extras]))
+def _grid(lo: float, hi: float, n_grid: int) -> np.ndarray:
+    """``n_grid`` uniform radii on [lo, hi] plus ``_HALVINGS`` halvings of
+    the first step toward each endpoint, so boundary minima are not missed
+    by the uniform grid."""
+    halvings = 0.5 ** np.arange(1, _HALVINGS + 1)
+    step = (hi - lo) / (n_grid - 1)
+    return np.unique(np.concatenate([np.linspace(lo, hi, n_grid),
+                                     lo + step * halvings, hi - step * halvings]))
 
 
-def _entry_checks(vals: np.ndarray, bounds: list, tol: float) -> list[BoundCheck]:
-    """One ``min_ge`` check per Ricci entry; ``vals`` is ``ricci_curve`` on the grid."""
+def _sweep(profile: ProfilePair, lo: float, hi: float, n_grid: int, bounds: list,
+           tol: float) -> tuple[np.ndarray, np.ndarray, list[BoundCheck]]:
+    """The grid on [lo, hi], ``ricci_curve`` on it and one ``min_ge`` check
+    per Ricci entry against ``bounds`` (entry, bound, symbolic)."""
+    if n_grid < 64:
+        raise ValueError("n_grid must be at least 64")
+    radii = _grid(lo, hi, n_grid)
+    vals = ricci_curve(profile, radii)
     minima = dict(zip(ENTRY_NAMES, vals.min(axis=1)))
-    return [BoundCheck(name=f"{name}_min", value=minima[name], bound=bound,
-                       kind="min_ge", tol=tol, bound_expr=expr)
-            for name, bound, expr in bounds]
+    return radii, vals, [BoundCheck(name=f"{name}_min", value=minima[name], bound=bound,
+                                    kind="min_ge", tol=tol, bound_expr=expr)
+                         for name, bound, expr in bounds]
 
 
 def _declared_bounds(region: Region, profile: ProfilePair) -> list:
@@ -150,17 +142,14 @@ def _proof_quantity_checks(region: Region, profile: ProfilePair,
 
 def verify_region(profile: ProfilePair, region: Region, n_grid: int = 1024,
                   tol: float = 1e-9) -> VerificationReport:
-    """Check one region's declared curvature bounds on a refined grid.
+    """Check one region's declared curvature bounds on its grid.
 
     The grid starts at max(lo, 1e-6): the Part1 formulas extend
     continuously to the axis but the frame itself degenerates at r = 0.
     """
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
     lo = max(region.lo, R_FLOOR)
-    radii = _refined_radii(profile, lo, region.hi, n_grid, tol)
-    vals = ricci_curve(profile, radii)
-    checks = _entry_checks(vals, _declared_bounds(region, profile), tol)
+    radii, vals, checks = _sweep(profile, lo, region.hi, n_grid,
+                                 _declared_bounds(region, profile), tol)
     if region.label == "Part4":
         worst_r00 = float(np.abs(vals[0]).max())
         checks.append(BoundCheck("r00_flat", worst_r00, 0.0, "match", 1e-10,
@@ -174,11 +163,8 @@ def verify_region(profile: ProfilePair, region: Region, n_grid: int = 1024,
 def verify_nonneg(profile: ProfilePair, r_max: float = 3.0, n_grid: int = 4096,
                   tol: float = 1e-9) -> VerificationReport:
     """Global sweep: every Ricci entry nonnegative on [1e-6, r_max]."""
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
-    radii = _refined_radii(profile, R_FLOOR, r_max, n_grid, tol)
-    checks = _entry_checks(ricci_curve(profile, radii),
-                           [(n, 0.0, "0") for n in ENTRY_NAMES], tol)
+    radii, _, checks = _sweep(profile, R_FLOOR, r_max, n_grid,
+                              [(n, 0.0, "0") for n in ENTRY_NAMES], tol)
     return VerificationReport(label=f"nonnegativity sweep [1e-06, {r_max:g}]",
                               grid_size=len(radii), tol=tol,
                               checks=tuple(checks))

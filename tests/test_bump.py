@@ -90,7 +90,19 @@ def test_mass_claim_message_prints_plain_float(eta):
 def test_table_monotone_antiderivative(table):
     assert np.all(np.diff(table.first_antiderivative) >= 0.0)
     assert np.all(np.diff(table.grid) > 0.0)
-    assert table.tol < 1e-12
+
+
+def test_table_rejects_a_jump_inside_a_panel():
+    # the indicator of [0, 0.1] jumps inside a panel of its one segment, so
+    # the two quadrature orders disagree there
+    def eta(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0.0) & (x <= 0.1), 1.0, 0.0)
+
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    spec = bump.BumpSpec(eta=eta, eta_prime=zero, segments=(0.0, 0.25), mass=0.1)
+    with pytest.raises(ConstructionError, match=r"orders 24 and 12 differ"):
+        bump.build_table(spec)
 
 
 def test_table_against_adaptive_quadrature(eta, table):

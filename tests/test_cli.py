@@ -168,8 +168,11 @@ def _edited_profile(built, tmp_path, edit):
     (lambda doc: doc.update(grid=[], rho=[], phi=[]), "stored grid"),
     (lambda doc: doc["grid"].__setitem__(3, float("nan")), "stored grid"),
     (lambda doc: doc["grid"].__setitem__(10, doc["grid"][10] + 0.01), "stored grid"),
+    (lambda doc: doc.update(neck_slope=0.3), "stored constants"),
+    (lambda doc: doc.update(neck_slope=float("nan")), "stored constants"),
 ], ids=["shifted-rho-sample", "nan-rho-sample", "nan-delta", "inf-delta", "nan-r1",
-        "empty-samples", "nan-grid-entry", "shifted-grid-entry"])
+        "empty-samples", "nan-grid-entry", "shifted-grid-entry", "other-neck-slope",
+        "nan-neck-slope"])
 def test_verify_tampered_profile_is_a_construction_failure(built, tmp_path, capsys,
                                                             edit, message):
     # NaN fails every comparison and inf > inf is false, so each check must
@@ -195,14 +198,16 @@ def test_verify_unknown_profile_version_is_an_input_error(built, tmp_path, capsy
 
 @pytest.mark.parametrize("edit, key", [
     (lambda doc: doc.pop("grid"), "grid"),
+    (lambda doc: doc.pop("neck_slope"), "neck_slope"),
+    (lambda doc: doc.update(extra=1), "extra"),
     (lambda doc: doc["construction"].update(bogus=1.0), "bogus"),
     (lambda doc: doc["construction"].update(order="24"), "order"),
     (lambda doc: doc["construction"].update(ceiling=100.0), "ceiling"),
     (lambda doc: doc["construction"].update(neck_slope="1e-9"), "neck_slope"),
     (lambda doc: doc["construction"].update(neck_slope=float("nan")),
      "neck_slope must be positive"),
-], ids=["missing-grid", "extra-construction-key", "string-order", "other-ceiling",
-        "string-neck-slope", "nan-neck-slope"])
+], ids=["missing-grid", "missing-neck-slope", "extra-key", "extra-construction-key",
+        "string-order", "other-ceiling", "string-neck-slope", "nan-neck-slope"])
 def test_verify_malformed_profile_is_an_input_error(built, tmp_path, capsys,
                                                     edit, key):
     path, out = _edited_profile(built, tmp_path, edit)
@@ -319,9 +324,13 @@ def test_collapse_single_eps(tmp_path):
     assert len((tmp_path / "collapse.csv").read_text().splitlines()) == 3
 
 
-def test_collapse_empty_eps(tmp_path):
-    code = main(["collapse", "--out", str(tmp_path), "--eps", ","])
+@pytest.mark.parametrize("eps", [",", "1,,0.5", "1,0.5,"],
+                         ids=["comma-only", "empty-middle", "empty-last"])
+def test_collapse_empty_eps(tmp_path, capsys, eps):
+    code = main(["collapse", "--out", str(tmp_path), "--eps", eps])
     assert code == 2
+    assert "bad --eps list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_collapse_profile_excludes_neck_slope(built, tmp_path):

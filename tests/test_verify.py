@@ -7,10 +7,10 @@ from conekit.frame import ricci_curve
 from conekit import verify
 from conekit.profiles import round_profile
 from conekit.verify import (
-    _MAX_BISECTIONS,
+    _HALVINGS,
     R_FLOOR,
     Region,
-    _refined_radii,
+    _grid,
     negative_control,
     standard_regions,
     verify_nonneg,
@@ -148,14 +148,16 @@ def test_partitioned_minima_are_order_independent(reference_profile, lab_profile
 
 
 def _serial_refined_radii(profile, lo, hi, n_grid, tol):
-    """The endpoint bisection one radius per ``ricci_curve`` call: the reference
-    the batched ``_refined_radii`` must reproduce."""
+    """The adaptive endpoint bisection the fixed grid replaced, one radius per
+    ``ricci_curve`` call: halve the first step toward each endpoint until
+    consecutive Ricci samples move by less than tol, at most ``_HALVINGS``
+    times."""
     base = np.linspace(lo, hi, n_grid)
     extras = []
     for anchor, direction in ((lo, +1.0), (hi, -1.0)):
         d = (hi - lo) / (n_grid - 1)
         prev = ricci_curve(profile, anchor + direction * d)[:, 0]
-        for _ in range(_MAX_BISECTIONS):
+        for _ in range(_HALVINGS):
             d *= 0.5
             pt = anchor + direction * d
             cur = ricci_curve(profile, pt)[:, 0]
@@ -166,17 +168,20 @@ def _serial_refined_radii(profile, lo, hi, n_grid, tol):
     return np.unique(np.concatenate([base, np.asarray(extras)]))
 
 
-def test_batched_refinement_matches_serial_bisection(reference_profile, lab_profile):
-    tol = 1e-9
+def test_fixed_grid_holds_every_adaptively_refined_radius(reference_profile, lab_profile):
+    # the adaptive rule keeps a prefix of the same halvings, so whatever it
+    # keeps, at any tol, is a radius of the fixed grid, bit for bit
     for profile in (reference_profile, lab_profile, negative_control(reference_profile)):
         spans = [(max(reg.lo, R_FLOOR), reg.hi, n_grid)
                  for reg in standard_regions(profile, 3.0) for n_grid in (64, 1024)]
         for lo, hi, n_grid in [*spans, (R_FLOOR, 3.0, 4096)]:
-            assert np.array_equal(_refined_radii(profile, lo, hi, n_grid, tol),
-                                  _serial_refined_radii(profile, lo, hi, n_grid, tol))
+            grid = _grid(lo, hi, n_grid)
+            for tol in (1e-9, 1e-3):
+                kept = _serial_refined_radii(profile, lo, hi, n_grid, tol)
+                assert np.isin(kept, grid).all()
 
 
-def test_region_makes_three_ricci_curve_calls(reference_profile, monkeypatch):
+def test_each_report_makes_one_ricci_curve_call(reference_profile, monkeypatch):
     calls = []
 
     def counting(profile, r):
@@ -184,8 +189,18 @@ def test_region_makes_three_ricci_curve_calls(reference_profile, monkeypatch):
         return ricci_curve(profile, r)
     monkeypatch.setattr(verify, "ricci_curve", counting)
     region = standard_regions(reference_profile, 3.0)[1]
-    assert verify_region(reference_profile, region, n_grid=256).passed
-    assert calls[:2] == [_MAX_BISECTIONS + 1] * 2 and len(calls) == 3
+    report = verify_region(reference_profile, region, n_grid=256)
+    assert report.passed and calls == [report.grid_size]
+    calls.clear()
+    report = verify_nonneg(reference_profile, r_max=3.0, n_grid=256)
+    assert report.passed and calls == [report.grid_size]
+
+
+def test_tol_does_not_move_the_grid(reference_profile):
+    for region in standard_regions(reference_profile, 3.0):
+        fine, coarse = (verify_region(reference_profile, region, n_grid=256, tol=tol)
+                        for tol in (1e-9, 1e-3))
+        assert fine.grid_size == coarse.grid_size
 
 
 def test_report_serialization(reference_profile):
