@@ -38,7 +38,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from .obstruction import GROUPS, TopologicalData, betti_constraints, hitchin_check
 from .reports import ConstructionError, VerificationReport
@@ -147,10 +146,9 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 def cmd_obstruction(args: argparse.Namespace) -> int:
     if args.b3 is not None:
-        data = betti_constraints((1, 0, 0, args.b3, 0))
+        data = betti_constraints(args.b3)
     else:
-        data = TopologicalData(chi=Fraction(1 if args.chi is None else args.chi),
-                               tau=Fraction(args.tau or 0))
+        data = TopologicalData(chi=1 if args.chi is None else args.chi, tau=args.tau or 0)
     names = list(GROUPS) if args.group == "both" else [args.group]
     for name in names:
         group = GROUPS[name]

@@ -54,22 +54,16 @@ class TopologicalData:
         object.__setattr__(self, "tau", Fraction(self.tau))
 
 
-def betti_constraints(b) -> TopologicalData:
-    """Topological data of an ALE Ricci-flat filling from its Betti numbers.
+def betti_constraints(b3: int) -> TopologicalData:
+    """Topological data of an ALE Ricci-flat filling from its third Betti number.
 
     The filling is connected and open with a rational homology sphere
     boundary, which forces b0 = 1, b1 = b2 = b4 = 0; only b3 >= 0 is free.
     Then chi = 1 - b3 and the signature vanishes with b2.
     """
-    b = tuple(int(x) for x in b)
-    if len(b) != 5:
-        raise ValueError("betti vector must have entries b0..b4")
-    if b[0] != 1 or b[1] != 0 or b[2] != 0 or b[4] != 0:
-        raise ValueError(
-            f"Betti pattern violated: need (1, 0, 0, b3, 0), got {b}")
-    if b[3] < 0:
+    if b3 < 0:
         raise ValueError("b3 must be nonnegative")
-    return TopologicalData(chi=Fraction(1 - b[3]), tau=Fraction(0))
+    return TopologicalData(chi=1 - b3, tau=0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ __all__ = [
     "constant_radial",
     "sinusoid_radial",
     "random_smooth_profile",
-    "scale_phi",
 ]
 
 
@@ -134,11 +133,3 @@ def random_smooth_profile(rng: np.random.Generator) -> ProfilePair:
     phi = sinusoid_radial(b0, b1, rng.uniform(0.3, 1.8), rng.uniform(0, 2 * np.pi))
     return ProfilePair(rho=rho, phi=phi)
 
-
-def scale_phi(profile: ProfilePair, factor: float) -> ProfilePair:
-    """Multiply phi by a constant, keeping rho.
-
-    ``factor=2`` is the standard negative control: it forces phi'(0)=8 and
-    breaks the curvature balance on the outer region.
-    """
-    return replace(profile, phi=profile.phi.scaled(factor))

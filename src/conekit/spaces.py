@@ -5,9 +5,9 @@ stages: ``neighbor_graph`` picks edges by coordinate proximity, ``weigh``
 gives them first-order Riemannian lengths, and ``geodesics`` completes the
 weighted graph to a metric by all-pairs shortest paths.  The
 quaternion-group quotient is realized by minimizing edge lengths over the
-8 lifts of each endpoint.  ``cone_distance`` is the exact distance of the
-metric cone over the round quotient, the ground truth the collapse
-experiment measures the graph against.
+lifts 1, i, j, k of each endpoint, the sign folded out.  ``cone_distance``
+is the exact distance of the metric cone over the round quotient, the
+ground truth the collapse experiment measures the graph against.
 
 Work is split over the CPUs of the process's affinity mask by one helper,
 ``_in_blocks``: one contiguous block per CPU, the first run by the caller
@@ -40,7 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .profiles import ProfilePair
-from .quaternions import BASIS, Q8, canonical_q8, qconj, qlog_vec, qmul, random_unit
+from .quaternions import BASIS, canonical_q8, qconj, qlog_vec, qmul, random_unit
 
 __all__ = [
     "SampledSpace",
@@ -142,19 +142,28 @@ class SampledSpace:
 # sampling and graph construction
 # ---------------------------------------------------------------------------
 
+# per group: its lifts (Q8's up to sign) and whether it is Q8
+_GROUPS = {"trivial": (BASIS[:1], False), "q8": (BASIS, True)}
+
+
+def _group(name: str) -> tuple[np.ndarray, bool]:
+    if name not in _GROUPS:
+        raise ValueError(f"unknown group {name!r}: expected 'trivial' or 'q8'")
+    return _GROUPS[name]
+
+
 def _quotient_angles(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
     """Round quotient angles between fibers, shape (len(qa), len(qb)).
 
-    The angle is the arccos of ``<qa_i, qb_j>`` for the trivial group, and
-    of the largest ``|<g*qa_i, qb_j>|`` over the lifts g = 1, i, j, k for
-    q8 (the sign covers the other four).  The four component products are
-    added in a fixed order by numpy ufuncs, not by a BLAS product, so the
-    bits do not depend on the BLAS kernel.
+    The angle is the arccos of the largest ``<g*qa_i, qb_j>`` over the lifts
+    g of the group, in absolute value for q8 (the sign covers the other
+    four).  The four component products are added in a fixed order by numpy
+    ufuncs, not by a BLAS product, so the bits do not depend on the BLAS kernel.
     """
-    q8 = group == "q8"
+    lifts, q8 = _group(group)
     best = np.empty((len(qa), len(qb)))
     cos, term = np.empty((2, *best.shape))  # freed on return, unlike ``best``
-    for g, lift in enumerate(qmul(BASIS[:, None, :], qa) if q8 else qa[None]):
+    for g, lift in enumerate(qmul(lifts[:, None, :], qa)):
         out = cos if g else best  # the first lift's cosines start the maximum
         np.multiply.outer(lift[:, 0], qb[:, 0], out=out)
         for k in range(1, 4):
@@ -236,10 +245,13 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
     logarithm of ``qa^-1 (g qb)``: its (i, j, k) components are the
     left-invariant coframe values.  The squared length is
     ``dr^2 + rho^2 (phi^2 a1^2 + a2^2 + a3^2)`` at midpoint profile values,
-    minimized over the 8 lifts g of the far endpoint.  The edges are weighed
-    a block at a time; each length depends only on its own edge.
+    minimized over the lifts g of the far endpoint.  For q8 each relative
+    quaternion is flipped to ``w >= 0``: ``-g`` gives its exact negation, whose
+    logarithm (angle ``pi - theta``) is never shorter, so 1, i, j, k give the
+    minimum over all 8 lifts bit for bit.  The edges are weighed a block at a
+    time; each length depends only on its own edge.
     """
-    lifts = Q8 if group == "q8" else BASIS[:1]
+    lifts, q8 = _group(group)
     out = np.empty(len(edges))
     # edges per pass: the (edges, lifts, 4) products hold _BLOCK floats
     step = max(1, _BLOCK // (4 * len(lifts)))
@@ -251,6 +263,8 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
         rho = np.asarray(profile.rho(mid), dtype=float)
         phi = np.asarray(profile.phi(mid), dtype=float)
         rel = qmul(qconj(qa)[:, None, :], qmul(lifts, qb[:, None, :]))
+        if q8:
+            rel = np.where(rel[..., :1] < 0, -rel, rel)
         v = qlog_vec(rel)  # (edges, lifts, 3)
         ang2 = (phi[:, None]**2 * v[..., 0]**2 + v[..., 1]**2 + v[..., 2]**2)
         best = np.min(dr[:, None]**2 + rho[:, None]**2 * ang2, axis=1)
@@ -380,13 +394,14 @@ def _check_sample_size(n: int) -> None:
 
 def _draw_points(seed, n, r_in, r_out, group):
     """n points: stratified radii in [r_in, r_out], uniform (quotient) sphere fibers."""
+    _, q8 = _group(group)
     _check_sample_size(n)
     rng = np.random.default_rng(seed)
     # stratified radii: one draw per bin of a uniform partition
     u = (np.arange(n) + rng.uniform(size=n)) / n
     radii = r_in + (r_out - r_in) * u
     quats = random_unit(rng, n)
-    if group == "q8":
+    if q8:
         quats = canonical_q8(quats)
     return radii, quats
 
@@ -399,8 +414,8 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
     (quotient) sphere; distances are all-pairs shortest paths over the
     proximity graph with first-order Riemannian edge lengths.
     """
-    if not 0 < r_in < r_out:
-        raise ValueError("need 0 < r_in < r_out")
+    if not 0 < r_in < r_out < np.inf:  # NaN fails too
+        raise ValueError(f"need 0 < r_in < r_out < inf, got {r_in!r} and {r_out!r}")
     radii, quats = _draw_points(seed, n, r_in, r_out, group)
     return space_from_points(
         profile, radii, quats, group=group,
@@ -411,8 +426,8 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
 def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
                   group="q8") -> SampledSpace:
     """Fixed-radius sample: the orbit sphere at radius r with its induced metric."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < np.inf:  # NaN fails too
+        raise ValueError(f"radius must be positive and finite, got {r!r}")
     # the stratified radii are r + 0 * u, exactly r
     radii, quats = _draw_points(seed, n, r, r, group)
     return space_from_points(
@@ -543,7 +558,10 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     and ``rho_eps(r) = c*r + eps*b``: the same cone, its apex shifted by
     ``eps*b/c``.  ``_annulus_bounds`` checks once, before any fork, that no
     geodesic leaves this tail (ValueError naming the slope otherwise), and
-    ``gh_bound`` is its gap ``eps*(b/c)*sin(c*pi/6)``, linear in eps.
+    ``gh_bound`` is its gap ``eps*(b/c)*sin(c*pi/6)``, linear in eps.  The
+    two identities must hold to the build's 1e-10 out to ``R = r_outer/eps``
+    at the smallest eps, where phi's tail value has lost about 2.4e-15*R to
+    cancellation (ValueError naming eps and R otherwise).
 
     The graph-geodesic space of ``eps^2 g`` on the same points is the thing
     under test: each row reports its diameter and its stretch ``d_graph /
@@ -587,6 +605,13 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     if not margins[0] >= 0:  # NaN fails too
         raise ValueError(f"tail premise fails at neck slope {slope!r}: core-detour margin "
                          f"{margins[0] / eps_arr[0]:.3g}*eps over the annulus, below 0")
+    far = r_outer / eps_arr[-1]
+    line = slope * far + offset
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge or infinite R fails below
+        phi_off, rho_off = abs(profile.phi(far) - 1.0), abs(profile.rho(far) - line)
+    if not (phi_off <= 1e-10 and rho_off <= 1e-10 * line):  # NaN fails too
+        raise ValueError(f"tail identities fail at the smallest eps {eps_arr[-1]!r}: at R = "
+                         f"r_outer/eps = {far!r}, phi = 1 and rho = c*r + b miss 1e-10")
 
     step = max(1, _BLOCK // n)  # source rows per work item
     per_scale = -(-n // step)

@@ -15,13 +15,13 @@ expression alongside the number actually compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bump import CEILING, FLOOR
 from .frame import ricci_curve
-from .profiles import ProfilePair, scale_phi
+from .profiles import ProfilePair
 from .reports import BoundCheck, VerificationReport
 
 __all__ = [
@@ -171,5 +171,5 @@ def verify_nonneg(profile: ProfilePair, r_max: float = 3.0, n_grid: int = 4096,
 
 
 def negative_control(profile: ProfilePair) -> ProfilePair:
-    """The doubled-fiber profile (phi'(0) forced to 8): must fail verification."""
-    return scale_phi(profile, 2.0)
+    """The doubled-fiber profile 2*phi (phi'(0) forced to 8): must fail verification."""
+    return replace(profile, phi=profile.phi.scaled(2.0))

@@ -36,8 +36,7 @@ def idealized_step_bump(amplitude=32.0, window=(1.0 / 16.0, 3.0 / 16.0)):
         return np.where((x >= a) & (x <= b), amplitude, 0.0)
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return bump.BumpSpec(eta=eta, eta_prime=zero, segments=(0.0, a, b, 0.25),
-                         mass=amplitude * (b - a))
+    return bump.BumpSpec(eta=eta, eta_prime=zero, segments=(0.0, a, b, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +55,8 @@ def test_eta_invariants(eta):
     assert np.all(eta.eta_prime(tail) <= 1e-12)
 
 
-def test_eta_mass(eta):
-    assert eta.mass == pytest.approx(4.0, abs=1e-10)
+def test_eta_mass(eta, table):
+    assert table.mass == pytest.approx(4.0, abs=1e-10)
     # independent adaptive quadrature
     val, err = integrate.quad(eta.eta, 0.0, 0.25, points=list(eta.segments),
                               limit=200)
@@ -77,12 +76,6 @@ def test_eta_plateau_amplitude(eta):
     assert eta.eta(0.125) == pytest.approx(64.0 / 3.0, rel=1e-12)
 
 
-def test_mass_claim_message_prints_plain_float(eta):
-    off = replace(eta, mass=np.float64(4.4))
-    with pytest.raises(ConstructionError, match=r"integral = 4\.4, requested 4\.0"):
-        bump._certify_eta(off)
-
-
 # ---------------------------------------------------------------------------
 # quadrature table
 # ---------------------------------------------------------------------------
@@ -100,7 +93,7 @@ def test_table_rejects_a_jump_inside_a_panel():
         return np.where((x >= 0.0) & (x <= 0.1), 1.0, 0.0)
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    spec = bump.BumpSpec(eta=eta, eta_prime=zero, segments=(0.0, 0.25), mass=0.1)
+    spec = bump.BumpSpec(eta=eta, eta_prime=zero, segments=(0.0, 0.25))
     with pytest.raises(ConstructionError, match=r"orders 24 and 12 differ"):
         bump.build_table(spec)
 
@@ -176,8 +169,8 @@ def test_out_of_table_points_skip_the_partial_panel(table):
 # ---------------------------------------------------------------------------
 
 def test_step_bump_mass_is_exact():
-    step = idealized_step_bump()
-    assert step.mass == 4.0  # 32 * 1/8, exactly
+    table = bump.build_table(idealized_step_bump())
+    assert table.mass == 4.0  # 32 * 1/8, exactly
 
 
 def test_r1_of_step_bump_is_exact():
@@ -221,6 +214,17 @@ def test_phi_top_and_tail(eta, table):
     assert phi(0.25 + r1) == pytest.approx(1.0, abs=1e-10)
     assert phi(10.0) == pytest.approx(1.0, abs=1e-10)
     assert abs(phi(10.0, 1)) < 1e-10
+
+
+def test_phi_tail_claim_is_the_mass_claim(eta):
+    # on the tail phi' = 4 - mass, so a bump of mass 4.4 fails the slope-0
+    # claim while the head slope, which does not see the mass, still holds
+    heavy = replace(eta, eta=lambda x: 1.1 * eta.eta(x),
+                    eta_prime=lambda x: 1.1 * eta.eta_prime(x))
+    table = bump.build_table(heavy)
+    assert table.mass == pytest.approx(4.4, abs=1e-10)
+    with pytest.raises(ConstructionError, match=r"phi' = 0 beyond 1/4 \+ r1"):
+        bump.make_phi(heavy, bump.compute_r1(heavy), table)
 
 
 def test_phi_agrees_with_adaptive_quadrature(eta, table):

@@ -276,6 +276,25 @@ def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("eps, least, far", [("1e-300", "1e-300", "7.999999999999999e+300"),
+                                             ("1e-12", "1e-12", "8000000000000.0"),
+                                             ("1,1e-4", "0.0001", "80000.0")])
+def test_collapse_eps_past_the_tail_identities_exits_2(tmp_path, capsys, eps, least, far):
+    # at R = rmax/eps the tail value 4r - Phi2(r - r1) of phi has lost more
+    # than 1e-10 to cancellation (phi(8e12) - 1 = 0.0195), so the closed
+    # forms no longer describe the graph's metric
+    code = main(["collapse", "--out", str(tmp_path), "--n", "50", "--eps", eps])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"tail identities fail at the smallest eps {least}:" in err
+    assert f"R = r_outer/eps = {far}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_collapse_eps_at_the_documented_floor(tmp_path):
+    assert main(["collapse", "--out", str(tmp_path), "--n", "50", "--eps", "1,2e-4"]) == 0
+
+
 def test_collapse_on_the_reference_profile(built, tmp_path):
     # at c = exp(-100) the apex shift eps*b/c is ~1e43, yet the radial term
     # survives: gh_bound is the closed form, and the graph is measured

@@ -20,8 +20,8 @@ from conekit.profiles import (
     constant_radial,
     random_smooth_profile,
     round_profile,
-    scale_phi,
 )
+from conekit.verify import negative_control
 
 from analytic import (
     berger_profile,
@@ -453,7 +453,7 @@ _CONTRACT_PROFILES = {
     "random": lambda built: random_smooth_profile(np.random.default_rng(9)),
     "built": lambda built: built,
     "rescaled": lambda built: built.rescale(0.5),
-    "scaled_phi": lambda built: scale_phi(built, 2.0),
+    "negative_control": negative_control,
 }
 
 

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from conekit import bump, profiles, spaces
-from conekit.quaternions import Q8, qmul, random_unit
+from conekit.quaternions import BASIS, Q8, qconj, qlog_vec, qmul, random_unit
 from conekit.spaces import (
     SampledSpace,
     collapse_experiment,
@@ -118,6 +118,65 @@ def test_edge_length_matches_metric_eval():
     assert got == pytest.approx(expect, rel=1e-12)
 
 
+def _eight_lift_weigh(profile, radii, quats, edges):
+    """Q8 edge lengths minimized over all 8 signed lifts, with ``weigh``'s
+    arithmetic in its order."""
+    a, b = edges.T
+    dr = radii[b] - radii[a]
+    mid = 0.5 * (radii[a] + radii[b])
+    rho = np.asarray(profile.rho(mid), dtype=float)
+    phi = np.asarray(profile.phi(mid), dtype=float)
+    v = qlog_vec(qmul(qconj(quats[a])[:, None, :], qmul(Q8, quats[b][:, None, :])))
+    ang2 = (phi[:, None]**2 * v[..., 0]**2 + v[..., 1]**2 + v[..., 2]**2)
+    return np.sqrt(np.min(dr[:, None]**2 + rho[:, None]**2 * ang2, axis=1))
+
+
+def _lift_test_points(rng, n):
+    """The 8 elements of Q8, the 6 points (g + h)/sqrt(2) of two distinct basis
+    units, whose relative quaternions include w = 0, and random points."""
+    pairs = [(g, h) for g in range(4) for h in range(g + 1, 4)]
+    halves = np.array([(BASIS[g] + BASIS[h]) / np.sqrt(2.0) for g, h in pairs])
+    return np.concatenate([Q8, halves, random_unit(rng, n - len(Q8) - len(halves))])
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 1.7])
+def test_weigh_folds_the_sign_bit_for_bit_on_berger_spheres(t):
+    # the lifts 1, i, j, k with each relative quaternion flipped to w >= 0
+    # give the minimum over all 8 lifts exactly, every pair of 60 points
+    rng = np.random.default_rng(40)
+    quats = _lift_test_points(rng, 60)
+    radii = rng.uniform(0.5, 2.0, size=60)
+    edges = np.stack(np.triu_indices(60, k=1), axis=1)
+    profile = berger_profile(t)
+    assert np.array_equal(weigh(profile, radii, quats, edges, "q8"),
+                          _eight_lift_weigh(profile, radii, quats, edges))
+
+
+def test_weigh_folds_the_sign_bit_for_bit_on_the_q8_annulus(lab_profile):
+    rng = np.random.default_rng(41)
+    quats = _lift_test_points(rng, 300)
+    radii = rng.uniform(1.0, 4.0, size=300)
+    edges = neighbor_graph(radii, quats, "q8")
+    assert np.array_equal(weigh(lab_profile, radii, quats, edges, "q8"),
+                          _eight_lift_weigh(lab_profile, radii, quats, edges))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: sample_sphere(p, 1.0, 200, seed=1, group="Q8"),
+    lambda p: sample_annulus(p, 0.5, 1.0, 200, seed=1, group="Q8"),
+    lambda p: space_from_points(p, np.ones(2), np.stack([ONE, I_Q]), group="Q8"),
+    lambda p: weigh(p, np.ones(2), np.stack([ONE, I_Q]), np.array([[0, 1]]), "Q8"),
+], ids=["sphere", "annulus", "points", "weigh"])
+def test_unknown_group_is_rejected_before_any_work(monkeypatch, entry):
+    # "Q8" once built the trivial quotient and recorded "Q8" as its group
+    def fail(*args):
+        raise AssertionError("work started")
+    for name in ("random_unit", "qmul"):
+        monkeypatch.setattr(spaces, name, fail)
+    with pytest.raises(ValueError, match="unknown group 'Q8': expected 'trivial' or 'q8'"):
+        entry(profiles.round_profile())
+
+
 def test_berger_fiber_collapse_diameter():
     # shrinking the Hopf fiber collapses the fixed-radius sphere onto the
     # half-radius base 2-sphere (diameter pi/2); graph stretch keeps the
@@ -136,6 +195,18 @@ def test_sample_annulus_validation(lab_profile):
         sample_annulus(lab_profile, 0.5, 1.0, 0, seed=0)
     with pytest.raises(ValueError):
         sample_annulus(lab_profile, 0.5, 1.0, 10, seed=0)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda p: sample_annulus(p, 1.0, np.inf, 100, seed=0), "r_out < inf"),
+    (lambda p: sample_annulus(p, np.nan, 4.0, 100, seed=0), "r_out < inf"),
+    (lambda p: sample_sphere(p, np.inf, 100, seed=0), "positive and finite"),
+    (lambda p: sample_sphere(p, np.nan, 100, seed=0), "positive and finite"),
+], ids=["annulus-inf", "annulus-nan", "sphere-inf", "sphere-nan"])
+def test_samplers_reject_non_finite_radii(lab_profile, entry, message):
+    # an infinite outer radius once failed late as "graph disconnected"
+    with pytest.raises(ValueError, match=message):
+        entry(lab_profile)
 
 
 @pytest.mark.parametrize("entry", [
@@ -579,6 +650,22 @@ def test_collapse_tail_premise_fails_at_steep_slope(monkeypatch):
         with pytest.raises(ValueError, match=rf"tail premise fails at neck slope {slope}: "
                                              rf"core-detour margin {margin}\*eps"):
             collapse_experiment(bump.build_profile(slope), n=100, seed=1)
+    assert len(forks) == 0
+
+
+@pytest.mark.parametrize("eps_list, r_outer, far", [
+    ((1.0, 0.5), np.inf, "inf"),
+    ((1.0, 1e-12), 8.0, "8000000000000.0"),
+    ((1.0, 1e-4), 8.0, "80000.0"),
+])
+def test_collapse_checks_the_tail_identities_out_to_r(monkeypatch, lab_profile,
+                                                      eps_list, r_outer, far):
+    # the closed forms need phi = 1 and rho = c*r + b to 1e-10 out to
+    # R = r_outer/eps; at R = 8e12 phi is 1.0195, and R = inf gives NaN
+    forks = _use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"tail identities fail at the smallest eps "
+                                         f"{eps_list[-1]!r}: at R = r_outer/eps = {far},"):
+        collapse_experiment(lab_profile, eps_list, n=100, r_outer=r_outer)
     assert len(forks) == 0
 
 
