@@ -9,6 +9,7 @@ the contradiction driving the four-dimensional rigidity argument.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,11 +59,11 @@ def betti_constraints(b3: int) -> TopologicalData:
     """Topological data of an ALE Ricci-flat filling from its third Betti number.
 
     The filling is connected and open with a rational homology sphere
-    boundary, which forces b0 = 1, b1 = b2 = b4 = 0; only b3 >= 0 is free.
-    Then chi = 1 - b3 and the signature vanishes with b2.
+    boundary, which forces b0 = 1, b1 = b2 = b4 = 0; only the integer
+    b3 >= 0 is free.  Then chi = 1 - b3 and the signature vanishes with b2.
     """
-    if b3 < 0:
-        raise ValueError("b3 must be nonnegative")
+    if not isinstance(b3, numbers.Integral) or b3 < 0:
+        raise ValueError(f"b3 must be nonnegative and an integer, got {b3!r}")
     return TopologicalData(chi=1 - b3, tau=0)
 
 

@@ -58,8 +58,10 @@ def qlog_vec(a):
 
     The components along (i, j, k) are the left-invariant coframe values of
     the geodesic chord from 1 to ``a`` on the unit 3-sphere.  Near w = -1
-    the axis is ill-conditioned; callers minimizing over group orbits never
-    select that branch, and the implementation degrades gracefully to 0.
+    the axis is ill-conditioned, and at ``|v| <= 1e-15`` the result is 0 for
+    w = -1 as for w = 1, although the angle there is pi: a caller must keep
+    ``a`` away from -1 (``spaces.weigh`` flips q8 quotients to w >= 0 and
+    rejects antipodal edges otherwise).
     """
     a = np.asarray(a, dtype=float)
     w = a[..., 0]

@@ -5,9 +5,9 @@ stages: ``neighbor_graph`` picks edges by coordinate proximity, ``weigh``
 gives them first-order Riemannian lengths, and ``geodesics`` completes the
 weighted graph to a metric by all-pairs shortest paths.  The
 quaternion-group quotient is realized by minimizing edge lengths over the
-lifts 1, i, j, k of each endpoint, the sign folded out.  ``cone_distance``
-is the exact distance of the metric cone over the round quotient, the
-ground truth the collapse experiment measures the graph against.
+lifts 1, i, j, k of each endpoint, the sign folded out.  ``_chord`` is
+the exact distance of the metric cone over the round quotient, the ground
+truth the collapse experiment measures the graph against.
 
 Work is split over the CPUs of the process's affinity mask by one helper,
 ``_in_blocks``: one contiguous block per CPU, the first run by the caller
@@ -51,7 +51,6 @@ __all__ = [
     "sample_sphere",
     "space_from_points",
     "diameter",
-    "cone_distance",
     "gh_upper_bound",
     "CollapseRow",
     "CollapseResult",
@@ -76,7 +75,7 @@ def _tiles(n: int):
 @dataclass
 class SampledSpace:
     """A finite metric space, the weighted graph it was completed from, and
-    its sampling provenance.
+    its provenance: the group, the number of points and of edges.
 
     ``dist`` is a full symmetric matrix of graph-geodesic distances over the
     undirected ``edges`` (pairs ``i < j``) with lengths ``weights``.  It is
@@ -248,8 +247,10 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
     minimized over the lifts g of the far endpoint.  For q8 each relative
     quaternion is flipped to ``w >= 0``: ``-g`` gives its exact negation, whose
     logarithm (angle ``pi - theta``) is never shorter, so 1, i, j, k give the
-    minimum over all 8 lifts bit for bit.  The edges are weighed a block at a
-    time; each length depends only on its own edge.
+    minimum over all 8 lifts bit for bit.  Without the flip, an edge between
+    antipodal fibers (trivial group) has no logarithm axis: ValueError names
+    it.  The edges are weighed a block at a time; each length depends only on
+    its own edge.
     """
     lifts, q8 = _group(group)
     out = np.empty(len(edges))
@@ -265,6 +266,14 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
         rel = qmul(qconj(qa)[:, None, :], qmul(lifts, qb[:, None, :]))
         if q8:
             rel = np.where(rel[..., :1] < 0, -rel, rel)
+        # at w = -1 the log's axis is undefined; q8's flip leaves no w < 0
+        back = rel[..., 0] < 0
+        if back.any():
+            undefined = back & (np.linalg.norm(rel[..., 1:], axis=-1) <= 1e-15)
+            if undefined.any():
+                i, j = edges[lo + np.flatnonzero(undefined.any(axis=1))[0]]
+                raise ValueError(f"edge ({i}, {j}) joins antipodal fibers, where the "
+                                 "quaternion logarithm has no axis")
         v = qlog_vec(rel)  # (edges, lifts, 3)
         ang2 = (phi[:, None]**2 * v[..., 0]**2 + v[..., 1]**2 + v[..., 2]**2)
         best = np.min(dr[:, None]**2 + rho[:, None]**2 * ang2, axis=1)
@@ -369,8 +378,8 @@ def geodesics(n: int, edges, weights) -> np.ndarray:
     return rows
 
 
-def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
-                      provenance=None) -> SampledSpace:
+def space_from_points(profile: ProfilePair, radii, quats, *,
+                      group="q8") -> SampledSpace:
     """Build the graph-geodesic metric space on an explicit point set.
 
     The three stages in order: ``neighbor_graph``, ``weigh`` under
@@ -380,11 +389,9 @@ def space_from_points(profile: ProfilePair, radii, quats, *, group="q8",
     quats = np.asarray(quats, dtype=float)
     edges = neighbor_graph(radii, quats, group)
     w = weigh(profile, radii, quats, edges, group)
-    # the caller's keys keep their place; group, n and edges follow
-    prov = {**(provenance or {}), "group": group, "n": len(radii),
-            "edges": int(len(edges))}
-    return SampledSpace(dist=geodesics(len(radii), edges, w), edges=edges,
-                        weights=w, provenance=prov)
+    return SampledSpace(dist=geodesics(len(radii), edges, w), edges=edges, weights=w,
+                        provenance={"group": group, "n": len(radii),
+                                    "edges": int(len(edges))})
 
 
 def _check_sample_size(n: int) -> None:
@@ -417,10 +424,7 @@ def sample_annulus(profile: ProfilePair, r_in: float, r_out: float, n: int,
     if not 0 < r_in < r_out < np.inf:  # NaN fails too
         raise ValueError(f"need 0 < r_in < r_out < inf, got {r_in!r} and {r_out!r}")
     radii, quats = _draw_points(seed, n, r_in, r_out, group)
-    return space_from_points(
-        profile, radii, quats, group=group,
-        provenance={"kind": "annulus", "r_in": r_in, "r_out": r_out,
-                    "n": n, "seed": seed, "group": group})
+    return space_from_points(profile, radii, quats, group=group)
 
 
 def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
@@ -430,9 +434,7 @@ def sample_sphere(profile: ProfilePair, r: float, n: int, seed: int, *,
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     # the stratified radii are r + 0 * u, exactly r
     radii, quats = _draw_points(seed, n, r, r, group)
-    return space_from_points(
-        profile, radii, quats, group=group,
-        provenance={"kind": "sphere", "r": r, "n": n, "seed": seed, "group": group})
+    return space_from_points(profile, radii, quats, group=group)
 
 
 def diameter(dist: np.ndarray) -> float:
@@ -448,27 +450,22 @@ def diameter(dist: np.ndarray) -> float:
 # exact cone distances and Gromov-Hausdorff upper bounds
 # ---------------------------------------------------------------------------
 
-def cone_distance(u, v, theta, slope: float) -> np.ndarray:
-    """Exact distance in the metric cone ``C(S^3/G, slope^2 round)``.
-
-    Points at cone radii u and v whose fibers are the round quotient angle
-    theta apart are ``d^2 = u^2 + v^2 - 2uv cos(min(slope*theta, pi))``
-    apart (the Euclidean cone metric, Burago-Burago-Ivanov 3.6), computed
-    as ``(u - v)^2 + 4uv sin^2(phi/2)`` so near pairs lose nothing to
-    cancellation.  The arguments broadcast.
-    """
-    return _chord(u, v, 0.0, _half_sine2(theta, slope))
-
-
 def _half_sine2(theta, slope: float) -> np.ndarray:
     """``sin^2(phi/2)`` at the cone angle ``phi = min(slope*theta, pi)``."""
     return np.sin(0.5 * np.minimum(slope * np.asarray(theta), np.pi)) ** 2
 
 
 def _chord(ra, rb, shift, s2) -> np.ndarray:
-    """Distance at ``s2 = sin^2(phi/2)`` in the cone of cone radius ``r + shift``.
+    """Exact distance in the metric cone ``C(S^3/G, slope^2 round)``, the
+    point at radius r sitting at cone radius ``r + shift``.
 
-    The radial term is taken before the shift, which can round radii away.
+    Points at cone radii u and v whose fibers are the cone angle ``phi =
+    min(slope*theta, pi)`` apart, theta their round quotient angle, are
+    ``d^2 = u^2 + v^2 - 2uv cos(phi)`` apart (the Euclidean cone metric,
+    Burago-Burago-Ivanov 3.6).  From ``s2 = sin^2(phi/2)``, as
+    ``_half_sine2`` gives it, d is computed as ``(u - v)^2 + 4uv s2`` so
+    near pairs lose nothing to cancellation; the radial term is taken
+    before the shift, which can round radii away.  The arguments broadcast.
     """
     return np.sqrt((ra - rb) ** 2 + 4.0 * (ra + shift) * (rb + shift) * s2)
 

@@ -2,11 +2,12 @@
 
 The construction's curvature argument splits the radial line at
 r1 + 1/16, r1 + 3/16 and r1 + 1/4; each piece carries its own declared
-bounds and auxiliary inequalities.  Verification here is sampling, not
-interval arithmetic: a report evaluates one fixed grid, a uniform grid
-plus 48 halvings of its first step toward each endpoint, in one
-``ricci_curve`` call, and certifies "no grid violation at tolerance tol"
-on it, as its label says.  tol sets only the comparison, never the grid.
+bounds and auxiliary inequalities; the nonnegativity sweep is one more
+region, the whole line with every bound 0.  Verification here is sampling,
+not interval arithmetic: one builder, ``_report``, evaluates a region's
+fixed grid, a uniform grid plus 48 halvings of its first step toward each
+endpoint, in one ``ricci_curve`` call, and certifies "no grid violation at
+tolerance tol" on it, as its label says.  tol sets only the comparison.
 
 Bounds involving the reference constants (e.g. 2 - 2*exp(-200)) collapse
 to their representable 64-bit values; each check carries the symbolic
@@ -38,17 +39,19 @@ R_FLOOR = 1e-6  # the frame degenerates at r = 0; evaluation starts here
 
 @dataclass(frozen=True)
 class Region:
-    """One radial piece of the verification, labelled Part1..Part4."""
+    """One radial piece of the verification, Part1..Part4, or the whole line
+    of the "nonnegativity sweep"; its grid starts at max(lo, R_FLOOR)."""
 
     label: str
     lo: float
     hi: float
 
     def __post_init__(self):
-        if self.label not in {"Part1", "Part2", "Part3", "Part4"}:
+        if self.label not in {"Part1", "Part2", "Part3", "Part4", "nonnegativity sweep"}:
             raise ValueError(f"unknown region label {self.label!r}")
-        if not self.lo < self.hi:
-            raise ValueError("region must have lo < hi")
+        if not (self.lo < self.hi and R_FLOOR < self.hi < np.inf):  # NaN fails too
+            raise ValueError(f"region must have lo < hi and {R_FLOOR:g} < hi < inf, "
+                             f"got [{self.lo!r}, {self.hi!r}]")
 
 
 def standard_regions(profile: ProfilePair, r_max: float = 3.0) -> tuple[Region, ...]:
@@ -78,20 +81,6 @@ def _grid(lo: float, hi: float, n_grid: int) -> np.ndarray:
                                      lo + step * halvings, hi - step * halvings]))
 
 
-def _sweep(profile: ProfilePair, lo: float, hi: float, n_grid: int, bounds: list,
-           tol: float) -> tuple[np.ndarray, np.ndarray, list[BoundCheck]]:
-    """The grid on [lo, hi], ``ricci_curve`` on it and one ``min_ge`` check
-    per Ricci entry against ``bounds`` (entry, bound, symbolic)."""
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
-    radii = _grid(lo, hi, n_grid)
-    vals = ricci_curve(profile, radii)
-    minima = dict(zip(ENTRY_NAMES, vals.min(axis=1)))
-    return radii, vals, [BoundCheck(name=f"{name}_min", value=minima[name], bound=bound,
-                                    kind="min_ge", tol=tol, bound_expr=expr)
-                         for name, bound, expr in bounds]
-
-
 def _declared_bounds(region: Region, profile: ProfilePair) -> list:
     """Per-region lower bounds on the Ricci minima (entry, bound, symbolic)."""
     specific = {}
@@ -111,63 +100,67 @@ def _declared_bounds(region: Region, profile: ProfilePair) -> list:
     return [(name, *specific.get(name, (0.0, "0"))) for name in ENTRY_NAMES]
 
 
-def _proof_quantity_checks(region: Region, profile: ProfilePair,
-                           radii: np.ndarray, tol: float) -> list[BoundCheck]:
-    """The auxiliary inequalities the curvature argument leans on, sampled."""
+def _proof_quantity_checks(region: Region, profile: ProfilePair, radii: np.ndarray,
+                           vals: np.ndarray, tol: float) -> list[BoundCheck]:
+    """The per-label checks beside the Ricci minima, sampled: Part4's flat
+    radial entry and the auxiliary inequalities the curvature argument
+    leans on.  A derivative is evaluated only under a label that checks it."""
+    if region.label == "Part4":
+        return [BoundCheck("r00_flat", float(np.abs(vals[0]).max()), 0.0, "match", 1e-10,
+                           bound_expr="r00 == 0 on the tail")]
     if profile.r1 is None or profile.delta is None:
         return []
-    checks = []
-    phi2 = profile.phi(radii, 2)
     if region.label == "Part2":
         rho2 = profile.rho(radii, 2)
-        checks.append(BoundCheck("rho''_min", float(rho2.min()), 0.0,
-                                 "min_ge", tol))
-        checks.append(BoundCheck("rho''_max", float(rho2.max()),
-                                 CEILING * profile.delta, "max_le", tol,
-                                 bound_expr="64*delta"))
-        checks.append(BoundCheck("phi''_max", float(phi2.max()), -FLOOR,
-                                 "max_le", tol))
+        return [BoundCheck("rho''_min", float(rho2.min()), 0.0, "min_ge", tol),
+                BoundCheck("rho''_max", float(rho2.max()), CEILING * profile.delta,
+                           "max_le", tol, bound_expr="64*delta"),
+                BoundCheck("phi''_max", float(profile.phi(radii, 2).max()), -FLOOR,
+                           "max_le", tol)]
     if region.label == "Part3":
         phi1 = profile.phi(radii, 1)
-        phi3 = profile.phi(radii, 3)
-        checks.append(BoundCheck("phi'''_min", float(phi3.min()), 0.0,
-                                 "min_ge", tol))
-        checks.append(BoundCheck("phi'_min", float(phi1.min()), 0.0,
-                                 "min_ge", tol))
-        checks.append(BoundCheck("phi' + phi''/16 max",
-                                 float((phi1 + phi2 / 16.0).max()), 0.0,
-                                 "max_le", tol, bound_expr="phi' <= -phi''/16"))
-    return checks
+        return [BoundCheck("phi'''_min", float(profile.phi(radii, 3).min()), 0.0,
+                           "min_ge", tol),
+                BoundCheck("phi'_min", float(phi1.min()), 0.0, "min_ge", tol),
+                BoundCheck("phi' + phi''/16 max",
+                           float((phi1 + profile.phi(radii, 2) / 16.0).max()), 0.0,
+                           "max_le", tol, bound_expr="phi' <= -phi''/16")]
+    return []
+
+
+def _report(profile: ProfilePair, region: Region, n_grid: int,
+            tol: float) -> VerificationReport:
+    """Check one region's declared curvature bounds and per-label checks.
+
+    The grid starts at max(lo, R_FLOOR): the Part1 formulas extend
+    continuously to the axis but the frame itself degenerates at r = 0.
+    """
+    if n_grid < 64:
+        raise ValueError("n_grid must be at least 64")
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    lo = max(region.lo, R_FLOOR)
+    radii = _grid(lo, region.hi, n_grid)
+    vals = ricci_curve(profile, radii)
+    minima = dict(zip(ENTRY_NAMES, vals.min(axis=1)))
+    checks = [BoundCheck(name=f"{name}_min", value=minima[name], bound=bound,
+                         kind="min_ge", tol=tol, bound_expr=expr)
+              for name, bound, expr in _declared_bounds(region, profile)]
+    checks += _proof_quantity_checks(region, profile, radii, vals, tol)
+    return VerificationReport(label=f"{region.label} [{lo:.6g}, {region.hi:.6g}]",
+                              grid_size=len(radii), tol=tol, checks=tuple(checks))
 
 
 def verify_region(profile: ProfilePair, region: Region, n_grid: int = 1024,
                   tol: float = 1e-9) -> VerificationReport:
-    """Check one region's declared curvature bounds on its grid.
-
-    The grid starts at max(lo, 1e-6): the Part1 formulas extend
-    continuously to the axis but the frame itself degenerates at r = 0.
-    """
-    lo = max(region.lo, R_FLOOR)
-    radii, vals, checks = _sweep(profile, lo, region.hi, n_grid,
-                                 _declared_bounds(region, profile), tol)
-    if region.label == "Part4":
-        worst_r00 = float(np.abs(vals[0]).max())
-        checks.append(BoundCheck("r00_flat", worst_r00, 0.0, "match", 1e-10,
-                                 bound_expr="r00 == 0 on the tail"))
-    checks.extend(_proof_quantity_checks(region, profile, radii, tol))
-    return VerificationReport(label=f"{region.label} [{lo:.6g}, {region.hi:.6g}]",
-                              grid_size=len(radii), tol=tol,
-                              checks=tuple(checks))
+    """Check one region's declared curvature bounds on its grid."""
+    return _report(profile, region, n_grid, tol)
 
 
 def verify_nonneg(profile: ProfilePair, r_max: float = 3.0, n_grid: int = 4096,
                   tol: float = 1e-9) -> VerificationReport:
-    """Global sweep: every Ricci entry nonnegative on [1e-6, r_max]."""
-    radii, _, checks = _sweep(profile, R_FLOOR, r_max, n_grid,
-                              [(n, 0.0, "0") for n in ENTRY_NAMES], tol)
-    return VerificationReport(label=f"nonnegativity sweep [1e-06, {r_max:g}]",
-                              grid_size=len(radii), tol=tol,
-                              checks=tuple(checks))
+    """Global sweep: every Ricci entry nonnegative on [R_FLOOR, r_max]."""
+    return _report(profile, Region("nonnegativity sweep", 0.0, r_max), n_grid, tol)
 
 
 def negative_control(profile: ProfilePair) -> ProfilePair:

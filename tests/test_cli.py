@@ -129,6 +129,18 @@ def test_verify_rejects_small_grid(built, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--tol"), ("verify", "--rmax"), ("collapse", "--rmax")])
+def test_tol_and_rmax_must_be_positive_and_finite(built, tmp_path, capsys, command,
+                                                  flag, value):
+    source = ["--profile", str(built / "profile.json")] if command == "verify" else []
+    code = main([command, "--out", str(tmp_path), *source, f"{flag}={value}"])
+    assert code == 2
+    assert f"error: {flag} must be positive and finite" in capsys.readouterr().err.splitlines()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_bad_profile_path(tmp_path, capsys):
     code = main(["verify", "--profile", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

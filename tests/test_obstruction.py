@@ -74,3 +74,10 @@ def test_betti_constraints():
     with pytest.raises(ValueError, match="b3 must be nonnegative"):
         betti_constraints(-1)
 
+
+@pytest.mark.parametrize("b3", [2.5, 2.0, float("nan"), Fraction(1, 2)], ids=str)
+def test_betti_constraints_rejects_a_non_integer_b3(b3):
+    # 2.5 once gave chi = -3/2, which no filling has
+    with pytest.raises(ValueError, match="an integer"):
+        betti_constraints(b3)
+

@@ -14,7 +14,6 @@ from conekit.quaternions import BASIS, Q8, qconj, qlog_vec, qmul, random_unit
 from conekit.spaces import (
     SampledSpace,
     collapse_experiment,
-    cone_distance,
     geodesics,
     gh_upper_bound,
     neighbor_graph,
@@ -102,6 +101,19 @@ def test_round_edge_matches_quotient_distance():
     # one direct edge on the unit round sphere is the exact quotient angle
     q1, q2 = _unit_pair(3)
     assert _round_edge(q1, q2) == pytest.approx(_quotient_angle(q1, q2), abs=1e-12)
+
+
+def test_antipodal_trivial_edge_is_rejected():
+    # -1 is pi from 1 on the round sphere, but its quaternion logarithm has
+    # no axis: the edge once weighed 0 and the space read all-zero distances
+    quats = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    round_ = profiles.round_profile()
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) joins antipodal fibers"):
+        weigh(round_, np.ones(2), quats, np.array([[0, 1]]), "trivial")
+    with pytest.raises(ValueError, match="antipodal"):
+        space_from_points(round_, np.ones(2), quats, group="trivial")
+    # in the q8 quotient -1 and 1 are one fiber
+    assert weigh(round_, np.ones(2), quats, np.array([[0, 1]]), "q8").tolist() == [0.0]
 
 
 def test_edge_length_matches_metric_eval():
@@ -221,6 +233,7 @@ def test_every_sampler_needs_fifty_points(lab_profile, entry):
 
 def test_sampled_space_metric_axioms(lab_profile):
     space = sample_annulus(lab_profile, 1.0, 4.0, 300, seed=7)
+    assert space.provenance == {"group": "q8", "n": 300, "edges": len(space.edges)}
     report = space.metric_axioms_report()
     assert report["ok"], report
     assert report["symmetric"] and report["diag_zero"]
@@ -505,6 +518,13 @@ def test_gh_requires_covering():
 # ---------------------------------------------------------------------------
 # exact cone distances
 # ---------------------------------------------------------------------------
+
+def cone_distance(u, v, theta, slope):
+    """Exact distance in the metric cone C(S^3/G, slope^2 round) at cone
+    radii u and v and round quotient angle theta, from the private pair the
+    collapse experiment uses."""
+    return spaces._chord(u, v, 0.0, spaces._half_sine2(theta, slope))
+
 
 def _lifted_distance(u, qa, v, qb, lifts):
     """min over lifts g of the Euclidean distance |u qa - v g qb| in R^4."""

@@ -1,5 +1,7 @@
 """Region certification, grid stability, and the negative control."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,71 @@ def test_region_validation():
         Region("Part1", 1.0, 0.5)
     with pytest.raises(ValueError):
         standard_regions(flat_profile(), 3.0)  # no r1
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, -1.0), (1.0, np.inf), (np.nan, 1.0),
+                                    (0.0, np.nan), (0.0, R_FLOOR / 2)])
+def test_region_must_be_ordered_and_finite(lo, hi):
+    # the grid starts at max(lo, R_FLOOR), so hi must lie past R_FLOOR too
+    with pytest.raises(ValueError, match="region must have lo < hi"):
+        Region("nonnegativity sweep", lo, hi)
+
+
+@pytest.mark.parametrize("r_max", [-1.0, 0.0, np.inf, np.nan])
+def test_sweep_rejects_a_reversed_or_non_finite_r_max(reference_profile, r_max):
+    # -1 once gave a report over a reversed grid; inf reached ricci_curve
+    # through RuntimeWarnings
+    with pytest.raises(ValueError, match="region must have lo < hi"):
+        verify_nonneg(reference_profile, r_max=r_max, n_grid=64)
+    with pytest.raises(ValueError):
+        standard_regions(reference_profile, r_max)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerance_must_be_positive_and_finite(reference_profile, tol):
+    # at tol = inf the negative control once passed; at nan every check
+    # failed without saying why
+    region = standard_regions(reference_profile, 3.0)[0]
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify_region(reference_profile, region, n_grid=64, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify_nonneg(negative_control(reference_profile), r_max=3.0, n_grid=64, tol=tol)
+
+
+def test_sweep_is_the_whole_line_region(reference_profile):
+    sweep = verify_nonneg(reference_profile, r_max=2.5, n_grid=64)
+    assert sweep.label == "nonnegativity sweep [1e-06, 2.5]"
+    region = Region("nonnegativity sweep", 0.0, 2.5)
+    assert sweep.to_dict() == verify_region(reference_profile, region, n_grid=64).to_dict()
+
+
+class _Recording:
+    """A radial function that logs the derivative order of every call."""
+
+    def __init__(self, f, name, log):
+        self.f, self.name, self.log = f, name, log
+
+    def __call__(self, r, order=0):
+        self.log.append((self.name, order))
+        return self.f(r, order)
+
+
+def test_derivatives_are_evaluated_only_where_checked(reference_profile, monkeypatch):
+    # ricci_curve sees the plain profile, so the log holds only the checks' calls
+    monkeypatch.setattr(verify, "ricci_curve", lambda _, r: ricci_curve(reference_profile, r))
+    log = []
+    recording = replace(reference_profile, rho=_Recording(reference_profile.rho, "rho", log),
+                        phi=_Recording(reference_profile.phi, "phi", log))
+    regions = [*standard_regions(reference_profile, 3.0),
+               Region("nonnegativity sweep", 0.0, 3.0)]
+    called = {}
+    for region in regions:
+        log.clear()
+        verify_region(recording, region, n_grid=64)
+        called[region.label] = sorted(log)
+    assert called == {"Part1": [], "Part2": [("phi", 2), ("rho", 2)],
+                      "Part3": [("phi", 1), ("phi", 2), ("phi", 3)], "Part4": [],
+                      "nonnegativity sweep": []}
 
 
 def test_all_regions_pass_default(reference_profile):
