@@ -557,8 +557,9 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     geodesic leaves this tail (ValueError naming the slope otherwise), and
     ``gh_bound`` is its gap ``eps*(b/c)*sin(c*pi/6)``, linear in eps.  The
     two identities must hold to the build's 1e-10 out to ``R = r_outer/eps``
-    at the smallest eps, where phi's tail value has lost about 2.4e-15*R to
-    cancellation (ValueError naming eps and R otherwise).
+    at the smallest eps, where phi - 1 has grown to about 2.2e-15*R: the
+    quadrature table's mass is 4 - 2.22e-15, so phi' is 2.22e-15 on the
+    tail (ValueError naming eps and R otherwise).
 
     The graph-geodesic space of ``eps^2 g`` on the same points is the thing
     under test: each row reports its diameter and its stretch ``d_graph /

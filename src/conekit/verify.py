@@ -9,9 +9,14 @@ fixed grid, a uniform grid plus 48 halvings of its first step toward each
 endpoint, in one ``ricci_curve`` call, and certifies "no grid violation at
 tolerance tol" on it, as its label says.  tol sets only the comparison.
 
-Bounds involving the reference constants (e.g. 2 - 2*exp(-200)) collapse
-to their representable 64-bit values; each check carries the symbolic
-expression alongside the number actually compared.
+Every check follows one rule, in ``_checks``: a quantity sampled on the
+grid is reduced by its kind (minimum, maximum, or largest magnitude for a
+``match``) and compared with its bound.  Part2 and Part4 read the
+construction constants (r1, delta, neck_slope), and a profile without
+them is rejected for those labels.  Bounds involving the reference
+constants (e.g. 16 - 192*delta) collapse to their representable 64-bit
+values; each check carries the symbolic expression alongside the number
+actually compared.
 """
 
 from __future__ import annotations
@@ -81,51 +86,46 @@ def _grid(lo: float, hi: float, n_grid: int) -> np.ndarray:
                                      lo + step * halvings, hi - step * halvings]))
 
 
-def _declared_bounds(region: Region, profile: ProfilePair) -> list:
-    """Per-region lower bounds on the Ricci minima (entry, bound, symbolic)."""
-    specific = {}
+def _checks(region: Region, profile: ProfilePair, radii: np.ndarray,
+            vals: np.ndarray, tol: float) -> list[BoundCheck]:
+    """Every check of one report, each a sampled quantity reduced by its kind
+    (``min_ge`` its minimum, ``max_le`` its maximum, ``match`` its largest
+    magnitude) against its bound: the four Ricci minima, then the quantities
+    the label's piece of the curvature argument leans on.  A derivative is
+    evaluated only under a label that checks it."""
+    def check(name, samples, bound, kind, expr="", tol=tol):
+        value = {"min_ge": np.min, "max_le": np.max,
+                 "match": lambda s: np.abs(s).max()}[kind](samples)
+        return BoundCheck(name, float(value), bound, kind, tol, bound_expr=expr)
+
+    bounds = dict.fromkeys(ENTRY_NAMES, (0.0, "0"))
+    extra = []
     if region.label == "Part1":
-        specific["r22"] = (2.0, "2")
-        specific["r33"] = (2.0, "2")
-    have_constants = (profile.r1 is not None and profile.delta is not None
-                      and profile.neck_slope is not None)
-    if region.label == "Part2" and have_constants:
+        bounds["r22"] = bounds["r33"] = (2.0, "2")
+    elif region.label == "Part2":
         # -3 rho''/rho >= -3*CEILING*delta and -phi''/phi >= FLOOR here
         slack = 3.0 * CEILING * profile.delta + 2.0 * profile.neck_slope / profile.r1
-        specific["r00"] = (FLOOR - slack, "16 - (192*delta + 2*neck_slope/r1)")
-    if region.label == "Part4" and have_constants:
-        c2 = profile.neck_slope ** 2
-        for name in ("r11", "r22", "r33"):
-            specific[name] = (2.0 - 2.0 * c2, "2 - 2*neck_slope^2")
-    return [(name, *specific.get(name, (0.0, "0"))) for name in ENTRY_NAMES]
-
-
-def _proof_quantity_checks(region: Region, profile: ProfilePair, radii: np.ndarray,
-                           vals: np.ndarray, tol: float) -> list[BoundCheck]:
-    """The per-label checks beside the Ricci minima, sampled: Part4's flat
-    radial entry and the auxiliary inequalities the curvature argument
-    leans on.  A derivative is evaluated only under a label that checks it."""
-    if region.label == "Part4":
-        return [BoundCheck("r00_flat", float(np.abs(vals[0]).max()), 0.0, "match", 1e-10,
-                           bound_expr="r00 == 0 on the tail")]
-    if profile.r1 is None or profile.delta is None:
-        return []
-    if region.label == "Part2":
+        bounds["r00"] = (FLOOR - slack, "16 - (192*delta + 2*neck_slope/r1)")
         rho2 = profile.rho(radii, 2)
-        return [BoundCheck("rho''_min", float(rho2.min()), 0.0, "min_ge", tol),
-                BoundCheck("rho''_max", float(rho2.max()), CEILING * profile.delta,
-                           "max_le", tol, bound_expr="64*delta"),
-                BoundCheck("phi''_max", float(profile.phi(radii, 2).max()), -FLOOR,
-                           "max_le", tol)]
-    if region.label == "Part3":
+        extra = [check("rho''_min", rho2, 0.0, "min_ge"),
+                 check("rho''_max", rho2, CEILING * profile.delta, "max_le", "64*delta"),
+                 check("phi''_max", profile.phi(radii, 2), -FLOOR, "max_le")]
+    elif region.label == "Part3":
         phi1 = profile.phi(radii, 1)
-        return [BoundCheck("phi'''_min", float(profile.phi(radii, 3).min()), 0.0,
-                           "min_ge", tol),
-                BoundCheck("phi'_min", float(phi1.min()), 0.0, "min_ge", tol),
-                BoundCheck("phi' + phi''/16 max",
-                           float((phi1 + profile.phi(radii, 2) / 16.0).max()), 0.0,
-                           "max_le", tol, bound_expr="phi' <= -phi''/16")]
-    return []
+        extra = [check("phi'''_min", profile.phi(radii, 3), 0.0, "min_ge"),
+                 check("phi'_min", phi1, 0.0, "min_ge"),
+                 check("phi' + phi''/16 max", phi1 + profile.phi(radii, 2) / 16.0, 0.0,
+                       "max_le", "phi' <= -phi''/16")]
+    elif region.label == "Part4":
+        # on the tail rho'' = 0, rho' = c and phi = 1, so r00 = 0 and
+        # r11 = r22 = r33 = (2 - 2c^2)/rho^2 exactly
+        tail = profile.rho(radii) ** 2 * vals[1:] - (2.0 - 2.0 * profile.neck_slope ** 2)
+        extra = [check("r00_flat", vals[0], 0.0, "match", "r00 == 0 on the tail", 1e-10),
+                 check("r_ii_tail", tail, 0.0, "match",
+                       "rho^2*r_ii == 2 - 2*neck_slope^2 on the tail", 1e-10)]
+    minima = [check(f"{name}_min", row, bound, "min_ge", expr)
+              for name, row, (bound, expr) in zip(ENTRY_NAMES, vals, bounds.values())]
+    return minima + extra
 
 
 def _report(profile: ProfilePair, region: Region, n_grid: int,
@@ -139,14 +139,12 @@ def _report(profile: ProfilePair, region: Region, n_grid: int,
         raise ValueError("n_grid must be at least 64")
     if not 0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if (region.label in ("Part2", "Part4")
+            and None in (profile.r1, profile.delta, profile.neck_slope)):
+        raise ValueError(f"{region.label} needs a constructed profile (r1, delta, neck_slope)")
     lo = max(region.lo, R_FLOOR)
     radii = _grid(lo, region.hi, n_grid)
-    vals = ricci_curve(profile, radii)
-    minima = dict(zip(ENTRY_NAMES, vals.min(axis=1)))
-    checks = [BoundCheck(name=f"{name}_min", value=minima[name], bound=bound,
-                         kind="min_ge", tol=tol, bound_expr=expr)
-              for name, bound, expr in _declared_bounds(region, profile)]
-    checks += _proof_quantity_checks(region, profile, radii, vals, tol)
+    checks = _checks(region, profile, radii, ricci_curve(profile, radii), tol)
     return VerificationReport(label=f"{region.label} [{lo:.6g}, {region.hi:.6g}]",
                               grid_size=len(radii), tol=tol, checks=tuple(checks))
 

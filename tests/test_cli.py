@@ -97,6 +97,16 @@ def test_verify_default_passes(built, tmp_path, capsys):
     assert (tmp_path / "ricci_curve.csv").exists()
 
 
+def test_verify_passes_at_the_collapse_slope(tmp_path, capsys):
+    # 0.05 is collapse's default slope; Part4 once failed there against a
+    # bound that held only at the reference slope
+    assert main(["build-profile", "--out", str(tmp_path), "--neck-slope", "0.05"]) == 0
+    code = main(["verify", "--profile", str(tmp_path / "profile.json"), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS Part4" in out and "FAIL" not in out
+
+
 def test_verify_negative_control_fails(built, tmp_path, capsys):
     code = main(["verify", "--profile", str(built / "profile.json"),
                  "--out", str(tmp_path), "--grid", "256",
@@ -292,9 +302,9 @@ def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
                                              ("1e-12", "1e-12", "8000000000000.0"),
                                              ("1,1e-4", "0.0001", "80000.0")])
 def test_collapse_eps_past_the_tail_identities_exits_2(tmp_path, capsys, eps, least, far):
-    # at R = rmax/eps the tail value 4r - Phi2(r - r1) of phi has lost more
-    # than 1e-10 to cancellation (phi(8e12) - 1 = 0.0195), so the closed
-    # forms no longer describe the graph's metric
+    # at R = rmax/eps phi - 1 exceeds 1e-10 (phi(8e12) - 1 = 0.0195): the
+    # table's mass is 4 - 2.22e-15, so phi has slope 2.22e-15 on the tail,
+    # and the closed forms no longer describe the graph's metric
     code = main(["collapse", "--out", str(tmp_path), "--n", "50", "--eps", eps])
     assert code == 2
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conekit.bump import REFERENCE_NECK_SLOPE, build_profile
 from conekit.frame import ricci_curve
 from conekit import verify
 from conekit.profiles import round_profile
@@ -105,7 +106,7 @@ def test_derivatives_are_evaluated_only_where_checked(reference_profile, monkeyp
         verify_region(recording, region, n_grid=64)
         called[region.label] = sorted(log)
     assert called == {"Part1": [], "Part2": [("phi", 2), ("rho", 2)],
-                      "Part3": [("phi", 1), ("phi", 2), ("phi", 3)], "Part4": [],
+                      "Part3": [("phi", 1), ("phi", 2), ("phi", 3)], "Part4": [("rho", 0)],
                       "nonnegativity sweep": []}
 
 
@@ -128,6 +129,39 @@ def test_part4_radial_flatness(reference_profile):
     assert check.passed and abs(check.value) <= 1e-10
 
 
+@pytest.mark.parametrize("slope", [REFERENCE_NECK_SLOPE, 1e-3, 0.05, 0.17])
+def test_every_report_passes_across_slopes(slope):
+    # on the tail r_ii = (2 - 2c^2)/rho^2 with rho > 1, so Part4 checks
+    # rho^2*r_ii against 2 - 2c^2; a bound of 2 - 2c^2 on the minima failed
+    # off the reference slope.  Measured deviations are about 2.2e-14
+    profile = build_profile(slope)
+    reports = [verify_region(profile, region) for region in standard_regions(profile, 3.0)]
+    reports.append(verify_nonneg(profile, r_max=3.0, n_grid=1024))
+    assert all(r.passed for r in reports), "\n".join(r.describe() for r in reports)
+    tail = {c.name: c for c in reports[3].checks}["r_ii_tail"]
+    assert tail.kind == "match" and tail.value <= 1e-13
+
+
+@pytest.mark.parametrize("slope", [0.18, 0.2])
+def test_ricci_turns_negative_in_the_neck_past_slope_0177(slope):
+    profile = build_profile(slope)
+    part1, part2, part3, part4 = (verify_region(profile, region)
+                                  for region in standard_regions(profile, 3.0))
+    sweep = verify_nonneg(profile, r_max=3.0, n_grid=1024)
+    for report in (part2, sweep):
+        assert [c.name for c in report.checks if not c.passed] == ["r22_min", "r33_min"]
+    assert part1.passed and part3.passed and part4.passed
+
+
+@pytest.mark.parametrize("label", ["Part2", "Part4"])
+def test_constant_reading_regions_need_a_constructed_profile(label, monkeypatch):
+    # no fallback to bound 0: the profile is rejected before any Ricci
+    # entry is evaluated
+    monkeypatch.setattr(verify, "ricci_curve", None)
+    with pytest.raises(ValueError, match=f"{label} needs a constructed profile"):
+        verify_region(flat_profile(), Region(label, 0.1, 1.0), n_grid=64)
+
+
 def test_part2_proof_quantities(reference_profile):
     region = standard_regions(reference_profile, 3.0)[1]
     report = verify_region(reference_profile, region, n_grid=512)
@@ -147,10 +181,13 @@ def test_part3_proof_quantities(reference_profile):
 
 
 def test_flat_profile_region_minima():
+    # Part3's phi checks read no construction constants, so they run here too
     region = Region("Part3", 0.1, 1.0)
     report = verify_region(flat_profile(), region, n_grid=256)
     assert report.passed
     assert all(abs(v) <= 1e-10 for v in report.minima.values())
+    assert [c.name for c in report.checks][4:] == [
+        "phi'''_min", "phi'_min", "phi' + phi''/16 max"]
 
 
 def test_round_profile_sweep():
@@ -295,13 +332,16 @@ def test_part1_closed_identities(reference_profile):
 
 
 def test_region_bounds_collapse_to_representable(reference_profile):
-    # 16 - (192*delta + 2c/r1) and 2 - 2c^2 are 16.0 and 2.0 in float64
-    # at the reference slope; the symbolic expression rides along
+    # 16 - (192*delta + 2c/r1) is 16.0 in float64 at the reference slope;
+    # the symbolic expression rides along
     part2 = verify_region(reference_profile, standard_regions(reference_profile, 3.0)[1],
                           n_grid=256)
     r00 = [c for c in part2.checks if c.name == "r00_min"][0]
     assert r00.bound == 16.0 and "delta" in r00.bound_expr
+    # Part4's minima are bounded by 0; the slope enters through rho^2*r_ii
     part4 = verify_region(reference_profile, standard_regions(reference_profile, 3.0)[3],
                           n_grid=256)
-    r11 = [c for c in part4.checks if c.name == "r11_min"][0]
-    assert r11.bound == 2.0 and "neck_slope" in r11.bound_expr
+    by_name = {c.name: c for c in part4.checks}
+    assert by_name["r11_min"].bound == 0.0 and by_name["r11_min"].bound_expr == "0"
+    tail = by_name["r_ii_tail"]
+    assert tail.bound == 0.0 and "neck_slope" in tail.bound_expr
