@@ -262,6 +262,20 @@ class QuadratureTable:
         return out if out.ndim else float(out)
 
 
+def _cumulative(bump: BumpSpec, grid: np.ndarray, order: int):
+    """E and Phi2 at each grid point, by Gauss-Legendre ``order`` on each panel.
+
+    Both are running totals in panel order: E adds each panel's integral,
+    and Phi2 adds first E times the panel's width, then the panel's moment.
+    """
+    a, b = grid[:-1], grid[1:]
+    cells = _gl(bump.eta, a, b, order)
+    moments = _gl(lambda s: (b[:, None] - s) * bump.eta(s), a, b, order)
+    e = np.concatenate([[0.0], np.cumsum(cells)])
+    steps = np.column_stack([e[:-1] * (b - a), moments]).ravel()
+    return e, np.concatenate([[0.0], np.cumsum(steps)[1::2]])
+
+
 def build_table(bump: BumpSpec) -> QuadratureTable:
     """Cumulative integrals of the bump on ``CELLS_PER_SEGMENT`` panels a segment.
 
@@ -270,20 +284,8 @@ def build_table(bump: BumpSpec) -> QuadratureTable:
     smooth inside a panel.
     """
     grid = _panel_edges(bump.segments, CELLS_PER_SEGMENT)
-    a, b = grid[:-1], grid[1:]
-
-    def cumulative(ordr):
-        cells = _gl(bump.eta, a, b, ordr)
-        moments = _gl(lambda s: (b[:, None] - s) * bump.eta(s), a, b, ordr)
-        e = np.zeros(len(grid))
-        p = np.zeros(len(grid))
-        for i in range(len(grid) - 1):
-            e[i + 1] = e[i] + cells[i]
-            p[i + 1] = p[i] + e[i] * (b[i] - a[i]) + moments[i]
-        return e, p
-
-    e_hi, p_hi = cumulative(ORDER)
-    e_lo, p_lo = cumulative(ORDER // 2)
+    e_hi, p_hi = _cumulative(bump, grid, ORDER)
+    e_lo, p_lo = _cumulative(bump, grid, ORDER // 2)
     gap = max(np.max(np.abs(e_hi - e_lo)), np.max(np.abs(p_hi - p_lo)))
     if not gap <= 1e-12:  # NaN fails too
         raise ConstructionError(

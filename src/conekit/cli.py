@@ -2,9 +2,10 @@
 
 Subcommands build certified profiles, run the curvature verification, run
 the collapse experiment, and print the exact obstruction arithmetic.
-Outputs are plain CSV/JSON data files; rerunning a command with the same
-arguments reproduces them byte for byte except for the timestamp comment
-at the head of each CSV.
+Each table of checks or of collapse rows is written as ``stem.csv`` and
+``stem.json``, the JSON also keeping what the CSV has no column for.
+Rerunning a command with the same arguments reproduces every file byte
+for byte except for the timestamp comment heading each CSV.
 
 The parser is the one declaration of every flag, its type and its
 default; each subcommand takes only the flags it reads and rejects any
@@ -61,19 +62,20 @@ def _write_csv(path: str, header: list[str], rows, note: str = "") -> None:
         writer.writerows(rows)
 
 
-def _write_reports(reports: list[VerificationReport], args: argparse.Namespace,
-                   stem: str) -> None:
-    path = os.path.join(args.out, f"{stem}.{args.format}")
-    if args.format == "csv":
-        header = ["report", "check", "value", "bound", "kind", "tol", "passed"]
-        _write_csv(path, header,
-                   ([rep.label, c.name, float(c.value), float(c.bound), c.kind,
-                     float(c.tol), int(c.passed)]
-                    for rep in reports for c in rep.checks))
-        return
+def _write_json(path: str, doc) -> None:
     with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_reports(reports: list[VerificationReport], out: str, stem: str) -> None:
+    """One CSV row per check in ``stem.csv``; the reports whole in ``stem.json``."""
+    header = ["report", "check", "value", "bound", "kind", "tol", "passed"]
+    _write_csv(os.path.join(out, f"{stem}.csv"), header,
+               ([rep.label, c.name, float(c.value), float(c.bound), c.kind,
+                 float(c.tol), int(c.passed)]
+                for rep in reports for c in rep.checks))
+    _write_json(os.path.join(out, f"{stem}.json"), [r.to_dict() for r in reports])
 
 
 def cmd_build_profile(args: argparse.Namespace) -> int:
@@ -83,7 +85,7 @@ def cmd_build_profile(args: argparse.Namespace) -> int:
     profile = bump.build_profile(slope)
     bump.save_profile(profile, os.path.join(args.out, "profile.json"))
     report = bump.smoothness_check(profile)
-    _write_reports([report], args, "smoothness")
+    _write_reports([report], args.out, "smoothness")
     print(report.describe())
     print(f"profile written to {os.path.join(args.out, 'profile.json')}")
     return 0 if report.passed else 1
@@ -98,12 +100,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     profile = bump.load_profile(args.profile)
     if args.negative_control:
         profile = verify.negative_control(profile)
-    reports = [verify.verify_region(profile, region, n_grid=args.grid,
-                                    tol=args.tol)
+    reports = [verify.verify_region(profile, region, n_grid=args.grid)
                for region in verify.standard_regions(profile, args.rmax)]
-    reports.append(verify.verify_nonneg(profile, r_max=args.rmax,
-                                        n_grid=args.grid, tol=args.tol))
-    _write_reports(reports, args, "verification")
+    reports.append(verify.verify_nonneg(profile, r_max=args.rmax, n_grid=args.grid))
+    _write_reports(reports, args.out, "verification")
     radii = np.linspace(verify.R_FLOOR, args.rmax, args.grid)
     curve = ricci_curve(profile, radii)
     _write_csv(os.path.join(args.out, "ricci_curve.csv"), ["r", *verify.ENTRY_NAMES],
@@ -134,11 +134,8 @@ def cmd_collapse(args: argparse.Namespace) -> int:
                ([row.eps, row.gh_bound, row.diameter, row.stretch_max, row.stretch_mean,
                  row.stretch_min] for row in result.rows),
                note=f"seed {result.seed}")
-    if args.format == "json":
-        with open(os.path.join(args.out, "collapse.json"), "w") as fh:
-            json.dump({"seed": result.seed, "n": result.n,
-                       "rows": [vars(r) for r in result.rows]}, fh, indent=2)
-            fh.write("\n")
+    _write_json(os.path.join(args.out, "collapse.json"),
+                {"seed": result.seed, "n": result.n, "rows": [vars(r) for r in result.rows]})
     print(f"diameter max/min = {result.diameter_ratio():.4f}")
     print(f"table written to {path}")
     return 0
@@ -165,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", required=True, help="output directory")
-    output.add_argument("--format", default="csv", choices=["csv", "json"])
 
     p = sub.add_parser("build-profile", parents=[output],
                        help="construct and certify a profile")
@@ -175,7 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[output],
                        help="run the curvature verification")
     p.add_argument("--profile", required=True, help="path to a profile.json")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--rmax", type=float, default=3.0)
     p.add_argument("--negative-control", action="store_true",
@@ -213,7 +208,7 @@ def _check_args(args: argparse.Namespace) -> None:
     """
     if getattr(args, "grid", 64) < 64:
         raise ValueError("--grid must be at least 64")
-    for name in ("tol", "rmax", "neck_slope"):
+    for name in ("rmax", "neck_slope"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < float("inf"):  # NaN fails too
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")

@@ -85,6 +85,25 @@ def test_table_monotone_antiderivative(table):
     assert np.all(np.diff(table.grid) > 0.0)
 
 
+@pytest.mark.parametrize("order", [bump.ORDER, bump.ORDER // 2])
+def test_running_totals_match_the_panel_loop(eta, table, order):
+    # the reference adds each panel's terms one at a time, in panel order;
+    # the cumulative sums must reproduce every bit of it
+    grid = table.grid
+    a, b = grid[:-1], grid[1:]
+    cells = bump._gl(eta.eta, a, b, order)
+    moments = bump._gl(lambda s: (b[:, None] - s) * eta.eta(s), a, b, order)
+    e, p = np.zeros(len(grid)), np.zeros(len(grid))
+    for i in range(len(grid) - 1):
+        e[i + 1] = e[i] + cells[i]
+        p[i + 1] = p[i] + e[i] * (b[i] - a[i]) + moments[i]
+    got = bump._cumulative(eta, grid, order)
+    assert np.array_equal(got[0], e) and np.array_equal(got[1], p)
+    if order == bump.ORDER:
+        assert np.array_equal(table.first_antiderivative, e)
+        assert np.array_equal(table.second_antiderivative, p)
+
+
 def test_table_rejects_a_jump_inside_a_panel():
     # the indicator of [0, 0.1] jumps inside a panel of its one segment, so
     # the two quadrature orders disagree there

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,10 +38,11 @@ def built(tmp_path_factory):
 
 
 def test_build_profile_writes_artifacts(built):
-    assert (built / "profile.json").exists()
-    assert (built / "smoothness.csv").exists()
+    assert sorted(os.listdir(built)) == ["profile.json", "smoothness.csv", "smoothness.json"]
     doc = json.loads((built / "profile.json").read_text())
     assert doc["format"] == "conekit-profile"
+    (report,) = json.loads((built / "smoothness.json").read_text())
+    assert report["passed"] and report["checks"]
 
 
 def test_build_profile_missing_out_dir(tmp_path):
@@ -79,6 +81,12 @@ def test_neck_slope_at_least_one_is_a_construction_failure(tmp_path, capsys,
     ["verify", "--profile", "profile.json", "--neck-slope", "0.5"],
     ["collapse", "--tol", "1e-9"],
     ["collapse", "--grid", "1024"],
+    # the CLI certifies at the library's 1e-9 and writes every table as
+    # both CSV and JSON: neither is a knob
+    ["verify", "--profile", "profile.json", "--tol", "0.3"],
+    ["build-profile", "--format", "json"],
+    ["verify", "--profile", "profile.json", "--format", "json"],
+    ["collapse", "--format", "json"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -105,6 +113,19 @@ def test_verify_passes_at_the_collapse_slope(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "PASS Part4" in out and "FAIL" not in out
+
+
+def test_verify_fails_past_the_measured_slope_range(tmp_path, capsys):
+    # Ric >= 0 holds up to c = 0.177 on the sampled grids; at 0.2 Part2's
+    # r22 (= r33) turns negative in the neck, and no flag can forgive it
+    assert main(["build-profile", "--out", str(tmp_path), "--neck-slope", "0.2"]) == 0
+    code = main(["verify", "--profile", str(tmp_path / "profile.json"), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    heads = [line.split(" [")[0] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert heads == ["FAIL Part2", "FAIL nonnegativity sweep"], out
+    for label in ("Part2", "nonnegativity sweep"):
+        assert re.search(rf"^FAIL {label} .*\n  FAIL r22_min: -", out, re.M), out
 
 
 def test_verify_negative_control_fails(built, tmp_path, capsys):
@@ -140,8 +161,7 @@ def test_verify_rejects_small_grid(built, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize("command, flag", [
-    ("verify", "--tol"), ("verify", "--rmax"), ("collapse", "--rmax")])
+@pytest.mark.parametrize("command, flag", [("verify", "--rmax"), ("collapse", "--rmax")])
 def test_tol_and_rmax_must_be_positive_and_finite(built, tmp_path, capsys, command,
                                                   flag, value):
     source = ["--profile", str(built / "profile.json")] if command == "verify" else []
@@ -254,11 +274,21 @@ def test_curve_csv(built, tmp_path):
 
 def test_verify_json_format(built, tmp_path):
     code = main(["verify", "--profile", str(built / "profile.json"),
-                 "--out", str(tmp_path), "--grid", "256", "--format", "json"])
+                 "--out", str(tmp_path), "--grid", "256"])
     assert code == 0
     reports = json.loads((tmp_path / "verification.json").read_text())
     assert len(reports) == 5
     assert all(rep["passed"] for rep in reports)
+    assert all(rep["grid_size"] > 256 for rep in reports)  # plus the endpoint halvings
+    # the JSON holds every CSV row, value for value
+    with open(tmp_path / "verification.csv", newline="") as fh:
+        table = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    checks = [(rep["label"], c) for rep in reports for c in rep["checks"]]
+    assert len(checks) == len(table)
+    for (label, check), row in zip(checks, table):
+        assert row == {"report": label, "check": check["name"], "value": str(check["value"]),
+                       "bound": str(check["bound"]), "kind": check["kind"],
+                       "tol": str(check["tol"]), "passed": str(int(check["passed"]))}
 
 
 def test_collapse_table(tmp_path, capsys):
@@ -274,7 +304,7 @@ def test_collapse_table(tmp_path, capsys):
 
 def test_collapse_json_rows(tmp_path):
     code = main(["collapse", "--out", str(tmp_path), "--eps", "1,0.5",
-                 "--n", "120", "--seed", "3", "--format", "json"])
+                 "--n", "120", "--seed", "3"])
     assert code == 0
     doc = json.loads((tmp_path / "collapse.json").read_text())
     assert (doc["seed"], doc["n"]) == (3, 120)
@@ -562,7 +592,7 @@ def test_closed_stdout_verify_keeps_artifacts(built, tmp_path, unbuffered):
     assert proc.stderr == b""
     assert main([*argv, "--out", str(normal)]) == 0
     names = sorted(os.listdir(normal))
-    assert names == ["ricci_curve.csv", "verification.csv"]
+    assert names == ["ricci_curve.csv", "verification.csv", "verification.json"]
     assert sorted(os.listdir(closed)) == names
     for name in names:
         assert (_strip_timestamps((closed / name).read_text())
