@@ -38,6 +38,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 
 from .obstruction import GROUPS, TopologicalData, betti_constraints, hitchin_check
@@ -62,20 +63,24 @@ def _write_csv(path: str, header: list[str], rows, note: str = "") -> None:
         writer.writerows(rows)
 
 
-def _write_json(path: str, doc) -> None:
-    with open(path, "w") as fh:
+def _write_table(out: str, stem: str, header: list[str], rows, doc, note: str = "") -> str:
+    """``header`` and ``rows`` in ``out/stem.csv``, ``doc`` in ``out/stem.json``; the CSV path."""
+    path = os.path.join(out, f"{stem}.csv")
+    _write_csv(path, header, rows, note)
+    with open(os.path.join(out, f"{stem}.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    return path
 
 
 def _write_reports(reports: list[VerificationReport], out: str, stem: str) -> None:
     """One CSV row per check in ``stem.csv``; the reports whole in ``stem.json``."""
     header = ["report", "check", "value", "bound", "kind", "tol", "passed"]
-    _write_csv(os.path.join(out, f"{stem}.csv"), header,
-               ([rep.label, c.name, float(c.value), float(c.bound), c.kind,
-                 float(c.tol), int(c.passed)]
-                for rep in reports for c in rep.checks))
-    _write_json(os.path.join(out, f"{stem}.json"), [r.to_dict() for r in reports])
+    _write_table(out, stem, header,
+                 ([rep.label, c.name, float(c.value), float(c.bound), c.kind,
+                   float(c.tol), int(c.passed)]
+                  for rep in reports for c in rep.checks),
+                 [r.to_dict() for r in reports])
 
 
 def cmd_build_profile(args: argparse.Namespace) -> int:
@@ -126,17 +131,14 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         profile = bump.load_profile(args.profile)
     else:
         profile = bump.build_profile(args.neck_slope)
-    result = spaces.collapse_experiment(profile, args.eps, n=args.n,
-                                        seed=args.seed, r_outer=args.rmax)
-    path = os.path.join(args.out, "collapse.csv")
-    _write_csv(path, ["eps", "gh_bound", "diameter", "stretch_max", "stretch_mean",
-                      "stretch_min"],
-               ([row.eps, row.gh_bound, row.diameter, row.stretch_max, row.stretch_mean,
-                 row.stretch_min] for row in result.rows),
-               note=f"seed {result.seed}")
-    _write_json(os.path.join(args.out, "collapse.json"),
-                {"seed": result.seed, "n": result.n, "rows": [vars(r) for r in result.rows]})
-    print(f"diameter max/min = {result.diameter_ratio():.4f}")
+    rows = spaces.collapse_experiment(profile, args.eps, n=args.n, seed=args.seed,
+                                      r_outer=args.rmax)
+    path = _write_table(args.out, "collapse", [f.name for f in fields(spaces.CollapseRow)],
+                        map(astuple, rows),
+                        {"seed": args.seed, "n": args.n, "rows": [asdict(r) for r in rows]},
+                        note=f"seed {args.seed}")
+    diameters = [row.diameter for row in rows]
+    print(f"diameter max/min = {max(diameters) / min(diameters):.4f}")
     print(f"table written to {path}")
     return 0
 

@@ -15,6 +15,9 @@ class ConstructionError(ValueError):
     """A certified construction claim failed (message names the claim)."""
 
 
+_OPERATORS = {"min_ge": ">=", "max_le": "<=", "match": "=="}  # each check kind's relation
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One measured quantity against one declared bound.
@@ -34,21 +37,23 @@ class BoundCheck:
     tol: float = 1e-9
     bound_expr: str = ""
 
+    def __post_init__(self):
+        if self.kind not in _OPERATORS:
+            raise ValueError(f"unknown check kind {self.kind!r}; "
+                             f"expected one of {', '.join(_OPERATORS)}")
+
     @property
     def passed(self) -> bool:
         if self.kind == "min_ge":
             return bool(self.value >= self.bound - self.tol)
         if self.kind == "max_le":
             return bool(self.value <= self.bound + self.tol)
-        if self.kind == "match":
-            return bool(abs(self.value - self.bound) <= self.tol)
-        raise ValueError(f"unknown check kind {self.kind!r}")
+        return bool(abs(self.value - self.bound) <= self.tol)  # match
 
     def describe(self) -> str:
-        op = {"min_ge": ">=", "max_le": "<=", "match": "=="}[self.kind]
         expr = f" [{self.bound_expr}]" if self.bound_expr else ""
         status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name}: {self.value:.12g} {op} "
+        return (f"{status} {self.name}: {self.value:.12g} {_OPERATORS[self.kind]} "
                 f"{self.bound:.12g}{expr} (tol {self.tol:g})")
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "diameter",
     "gh_upper_bound",
     "CollapseRow",
-    "CollapseResult",
     "collapse_experiment",
 ]
 
@@ -492,23 +491,14 @@ def gh_upper_bound(d1: np.ndarray, d2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CollapseRow:
+    """One scale of the collapse table; the field order is its column order."""
+
     eps: float
     gh_bound: float
     diameter: float
     stretch_max: float
     stretch_mean: float
     stretch_min: float
-
-
-@dataclass(frozen=True)
-class CollapseResult:
-    rows: tuple[CollapseRow, ...]
-    seed: int
-    n: int
-
-    def diameter_ratio(self) -> float:
-        ds = [row.diameter for row in self.rows]
-        return max(ds) / min(ds)
 
 
 def _annulus_bounds(slope: float, offset: float, tail: float,
@@ -545,7 +535,7 @@ def _annulus_bounds(slope: float, offset: float, tail: float,
 
 def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
                         n: int = 800, seed: int = 0, *,
-                        r_outer: float = 8.0) -> CollapseResult:
+                        r_outer: float = 8.0) -> tuple[CollapseRow, ...]:
     """Exhibit the collapse of the rescaled metrics onto the exact cone.
 
     For each scale eps the metric ``eps^2 g`` is compared with the exact
@@ -562,13 +552,15 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     tail (ValueError naming eps and R otherwise).
 
     The graph-geodesic space of ``eps^2 g`` on the same points is the thing
-    under test: each row reports its diameter and its stretch ``d_graph /
-    d_exact`` against the shifted cone (max, mean and min over ordered pairs
-    of distinct points; the pair (s, t) is read from source s's Dijkstra
-    row).  Each block of ``_BLOCK // n`` source rows is searched and at once
-    reduced against both cones, from one ``sin^2(min(c*theta, pi)/2)`` per
-    pair, so no n x n array is made.  RuntimeError if a block's
-    ``gh_upper_bound`` exceeds the closed-form gap by more than 1e-12 of it.
+    under test.  The result is one ``CollapseRow`` per scale, in the order
+    of ``eps_list``: ``gh_bound``, the graph space's diameter and its
+    stretch ``d_graph / d_exact`` against the shifted cone (max, mean and
+    min over ordered pairs of distinct points; the pair (s, t) is read from
+    source s's Dijkstra row).  Each block of ``_BLOCK // n`` source rows is
+    searched and at once reduced against both cones, from one
+    ``sin^2(min(c*theta, pi)/2)`` per pair, so no n x n array is made.
+    RuntimeError if a block's ``gh_upper_bound`` exceeds the closed-form
+    gap by more than 1e-12 of it.
 
     The work items, the pairs (scale, row block) in order, are split by
     ``_in_blocks``, so a lone scale uses every CPU too.  A process builds
@@ -653,4 +645,4 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
                                 stretch_max=max(stretch_max),
                                 stretch_mean=sum(stretch_sum) / (n * (n - 1)),
                                 stretch_min=min(stretch_min)))
-    return CollapseResult(rows=tuple(rows), seed=seed, n=n)
+    return tuple(rows)

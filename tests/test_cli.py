@@ -296,10 +296,11 @@ def test_collapse_table(tmp_path, capsys):
                  "--n", "150", "--seed", "3"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("diameter max/min = ")
     lines = (tmp_path / "collapse.csv").read_text().splitlines()
     assert lines[1] == "eps,gh_bound,diameter,stretch_max,stretch_mean,stretch_min"
     assert len(lines) == 4
+    diameters = [float(line.split(",")[2]) for line in lines[2:]]
+    assert out.splitlines()[0] == f"diameter max/min = {max(diameters) / min(diameters):.4f}"
 
 
 def test_collapse_json_rows(tmp_path):
@@ -497,6 +498,13 @@ def test_obstruction_large_chi(capsys):
 def test_obstruction_from_betti(capsys):
     assert main(["obstruction", "--b3", "0", "--group", "Q8"]) == 0
     assert "contradiction" in capsys.readouterr().out
+
+
+def test_obstruction_rejects_a_negative_b3(capsys):
+    assert main(["obstruction", "--b3", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: b3 must be nonnegative and an integer, got -1\n"
 
 
 @pytest.mark.parametrize("given", [["--chi", "5"], ["--tau", "2"], ["--chi", "5", "--tau", "2"]],

@@ -590,16 +590,17 @@ def test_collapse_validation(monkeypatch, lab_profile):
 
 
 def test_collapse_single_eps(lab_profile):
-    result = collapse_experiment(lab_profile, (1.0,), n=100, seed=3)
-    assert len(result.rows) == 1
-    assert result.rows[0].gh_bound >= 0.0
+    rows = collapse_experiment(lab_profile, (1.0,), n=100, seed=3)
+    assert len(rows) == 1
+    assert rows[0].gh_bound >= 0.0
 
 
 def test_collapse_small(lab_profile):
-    result = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=220, seed=1)
-    gh = [row.gh_bound for row in result.rows]
+    rows = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=220, seed=1)
+    gh = [row.gh_bound for row in rows]
+    diameters = [row.diameter for row in rows]
     assert all(b < a for a, b in zip(gh, gh[1:]))
-    assert result.diameter_ratio() <= 1.25
+    assert max(diameters) / min(diameters) <= 1.25
 
 
 def _tail_offset(profile):
@@ -620,8 +621,8 @@ def test_collapse_shares_one_graph_per_eps(lab_profile):
     # closed-form cone, with and without the apex shift eps*b/c; the pair
     # (s, t) is read from source s's directed Dijkstra row
     c = lab_profile.neck_slope
-    result = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
-    for idx, row in enumerate(result.rows):
+    rows = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
+    for idx, row in enumerate(rows):
         radii, quats = spaces._draw_points([3, idx], 120, row.eps, 8.0, "q8")
         edges = neighbor_graph(radii, quats, "q8")
         weights = weigh(lab_profile.rescale(row.eps), radii, quats, edges, "q8")
@@ -655,8 +656,7 @@ def test_collapse_gh_within_analytic_bound(lab_profile):
     c = lab_profile.neck_slope
     bound = _tail_offset(lab_profile) / c * np.sin(c * np.pi / 6)
     assert bound == pytest.approx(0.5170, abs=1e-4)
-    result = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=150, seed=1)
-    for row in result.rows:
+    for row in collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=150, seed=1):
         assert row.gh_bound == _closed_gap(lab_profile, row.eps)
         assert row.gh_bound == pytest.approx(row.eps * bound, rel=1e-12)
 
@@ -691,8 +691,8 @@ def test_collapse_checks_the_tail_identities_out_to_r(monkeypatch, lab_profile,
 
 def test_collapse_runs_at_the_last_slope_whose_premise_holds():
     # the whole-annulus margin is +0.010*eps at c = 0.25
-    result = collapse_experiment(bump.build_profile(0.25), (1.0, 0.5), n=100, seed=1)
-    assert min(row.stretch_min for row in result.rows) >= 1 - 1e-12
+    rows = collapse_experiment(bump.build_profile(0.25), (1.0, 0.5), n=100, seed=1)
+    assert min(row.stretch_min for row in rows) >= 1 - 1e-12
 
 
 def test_collapse_checks_the_drawn_gap_against_the_closed_form(monkeypatch, lab_profile):
@@ -771,7 +771,7 @@ def test_collapse_rows_do_not_depend_on_cpus(monkeypatch, lab_profile):
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
             forks = _use_cpus(patch, cpus)
-            rows[cpus] = collapse_experiment(lab_profile, EPS4, n=120, seed=5).rows
+            rows[cpus] = collapse_experiment(lab_profile, EPS4, n=120, seed=5)
             assert len(forks) == min(cpus, len(EPS4)) - 1
     assert rows[1] == rows[2] == rows[3]
 
@@ -785,7 +785,7 @@ def test_collapse_rows_do_not_depend_on_a_cut_scale(monkeypatch, lab_profile):
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
             forks = _use_cpus(patch, cpus)
-            rows[cpus] = collapse_experiment(lab_profile, EPS4[:3], n=200, seed=5).rows
+            rows[cpus] = collapse_experiment(lab_profile, EPS4[:3], n=200, seed=5)
             assert len(forks) == cpus - 1
     assert rows[1] == rows[2] == rows[3]
 
@@ -795,9 +795,9 @@ def test_collapse_single_eps_splits_its_rows(monkeypatch, lab_profile):
     # search and reduce one block of its rows
     with monkeypatch.context() as patch:
         _use_cpus(patch, 1)
-        expect = collapse_experiment(lab_profile, (1.0,), n=200, seed=5).rows
+        expect = collapse_experiment(lab_profile, (1.0,), n=200, seed=5)
     forks = _use_cpus(monkeypatch, 2)
-    assert collapse_experiment(lab_profile, (1.0,), n=200, seed=5).rows == expect
+    assert collapse_experiment(lab_profile, (1.0,), n=200, seed=5) == expect
     assert len(forks) == 1
 
 

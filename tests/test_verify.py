@@ -9,6 +9,7 @@ from conekit.bump import REFERENCE_NECK_SLOPE, build_profile
 from conekit.frame import ricci_curve
 from conekit import verify
 from conekit.profiles import round_profile
+from conekit.reports import BoundCheck
 from conekit.verify import (
     _HALVINGS,
     R_FLOOR,
@@ -313,6 +314,13 @@ def test_report_serialization(reference_profile):
     assert doc["passed"] is True
     assert {c["name"] for c in doc["checks"]} == {
         "r00_min", "r11_min", "r22_min", "r33_min"}
+
+
+def test_check_kind_is_checked_at_construction():
+    for kind in ("min_ge", "max_le", "match"):
+        assert BoundCheck("x", 1.0, 0.0, kind).kind == kind
+    with pytest.raises(ValueError, match="'min_gt'; expected one of min_ge, max_le, match"):
+        BoundCheck("x", 1.0, 0.0, "min_gt")
 
 
 def test_part1_closed_identities(reference_profile):
