@@ -15,16 +15,15 @@ Riemann tensor from ``O = d w + w ^ w`` and contracts.  It never touches
 second derivatives of the profile analytically, so it serves as a numeric
 oracle for the closed forms.
 
-Each call makes one pass over the profile.  :func:`ricci_curve` evaluates
-the six profile values once per call; a scalar radius stays 0-d, so they
-are Python floats and no array is built until the result.  The oracle
-evaluates rho, phi and their slopes once on its whole stencil
-``[r, r + h, r - h]`` (plus ``r +- h/2`` for the step check) and builds
-every bracket table and connection as one batch with a leading stencil
-axis.  Squares are written as products (``rho * rho``, never ``rho**2``):
-Python's float ``**`` calls libm ``pow``, which can differ from ``x * x``
-in the last bit, while numpy's array ``**2`` is ``x * x``.  So a radius
-gets the same bits alone as in any batch.
+:func:`ricci_curve` evaluates the six profile values once per call; a
+scalar radius stays 0-d, so they are Python floats and no array is built
+until the result.  The oracle evaluates rho, phi and their slopes once on
+its stencil ``[r, r + h, r - h]`` and builds every bracket table and
+connection as one batch with a leading stencil axis; the step check does
+the same again at h/2.  Squares are written as products (``rho * rho``,
+never ``rho**2``): Python's float ``**`` calls libm ``pow``, which can
+differ from ``x * x`` in the last bit, while numpy's array ``**2`` is
+``x * x``.  So a radius gets the same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -182,42 +181,31 @@ def _koszul(c: np.ndarray) -> np.ndarray:
                   + c.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
-def _riemann(profile: ProfilePair, r: float, steps: list) -> np.ndarray:
-    """R[s, p, q, j, k] = O_j^k(e_p, e_q) with the radial derivative by step steps[s].
+def _riemann(profile: ProfilePair, r: float, h: float) -> np.ndarray:
+    """R[p, q, j, k] = O_j^k(e_p, e_q) with the radial derivative by step h.
 
     ``w_j^k(e_p) = gamma[p, j, k]`` and ``dw(e_p, e_q) = e_p w(e_q) - e_q w(e_p)
     - w([e_p, e_q])``, where only e_0 = d/dr moves the coefficients.  One
-    bracket table covers the stencil ``[r, r + steps, r - steps]``.
+    bracket table covers the stencil ``[r, r + h, r - h]``.
     """
-    n = len(steps)
-    c = _bracket_table(profile, r + np.array([0.0, *steps, *(-h for h in steps)]))
+    c = _bracket_table(profile, r + np.array([0.0, h, -h]))
     gamma = _koszul(c)
-    width = np.array([2.0 * h for h in steps])[:, None, None, None]
-    dgamma = (gamma[1:n + 1] - gamma[n + 1:]) / width
+    dgamma = (gamma[1] - gamma[2]) / (2.0 * h)
     c, gamma = c[0], gamma[0]
-    d = np.repeat(-np.einsum("pql,ljk->pqjk", c, gamma)[None], n, axis=0)
-    d[:, 0] += dgamma
-    d[:, :, 0] -= dgamma
+    d = -np.einsum("pql,ljk->pqjk", c, gamma)
+    d[0] += dgamma
+    d[:, 0] -= dgamma
     # (w_j^l ^ w_l^k)(e_p, e_q)
     quad = np.einsum("pjl,qlk->pqjk", gamma, gamma)
     return d - (quad - quad.transpose(1, 0, 2, 3))
 
 
-# Ricci term indices: _RIC_A[l, i], _RIC_B[l, i] = sorted((k, l)) for the
-# i-th k != l in ascending order
-_RIC_A, _RIC_B = np.array([[sorted((k, l)) for k in range(4) if k != l]
-                           for l in range(4)]).transpose(2, 0, 1)
-
-
 def _ricci(R: np.ndarray) -> np.ndarray:
-    """Ricci diagonal ``Ric(e_l, e_l) = sum_{k != l} O_k^l(e_l, e_k)``, shape (..., 4).
+    """Ricci diagonal ``Ric(e_l, e_l) = sum_k O_k^l(e_l, e_k)``, shape (4,).
 
-    Each term is read as ``-R[..., a, b, a, b]`` with ``(a, b) = sorted((k, l))``
-    and summed from 0.0 in ascending k; this order fixes the last bit.  The
-    sign is pinned by the fixtures (flat cone zero, round cylinder 0, 2, 2, 2).
+    The sign is pinned by the fixtures (flat cone zero, round cylinder 0, 2, 2, 2).
     """
-    terms = R[..., _RIC_A, _RIC_B, _RIC_A, _RIC_B]
-    return 0.0 - terms[..., 0] - terms[..., 1] - terms[..., 2]
+    return np.einsum("lkkl->l", R)
 
 
 # largest move of the Ricci entries between steps h and h/2 the oracle accepts
@@ -239,7 +227,7 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
         coefficients.  Must be small against the variation scale of the
         profile; quadrature-built profiles want h ~ 1e-5.
     check_step : bool
-        When True, also evaluates at h/2 (in the same stencil batch) and
+        When True, also evaluates on a second stencil at step h/2 and
         raises :class:`OracleStepError` if the Ricci entries move by more
         than 1e-6 or by NaN; a too-coarse step is reported, never silently
         accepted.  Without the check a non-finite Ricci entry raises
@@ -255,14 +243,14 @@ def curvature_from_forms(profile: ProfilePair, r: float, h: float = 1e-4,
         raise ValueError(f"step h must be positive, got {h}")
     if r - h <= 0:
         raise FrameDomainError(f"need r - h > 0, got r={r}, h={h}")
-    R = _riemann(profile, r, [h, h / 2] if check_step else [h])
+    R = _riemann(profile, r, h)
     ric = _ricci(R)
     if check_step:
-        drift = np.max(np.abs(ric[0] - ric[1]))
+        drift = np.max(np.abs(ric - _ricci(_riemann(profile, r, h / 2))))
         if not drift <= _STEP_TOL:
             raise OracleStepError(
                 f"step h={h} too coarse at r={r}: Ricci moved by {drift:.3e} "
                 f"between h and h/2 (tolerance {_STEP_TOL:.1e})")
-    if not np.isfinite(ric[0]).all():
+    if not np.isfinite(ric).all():
         raise FrameDomainError(f"non-finite Ricci entries at r={r!r}")
-    return R[0], RicciDiag(*ric[0])
+    return R, RicciDiag(*ric)

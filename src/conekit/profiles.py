@@ -94,8 +94,8 @@ class ProfilePair:
         The tail slope is scale-invariant and survives; the construction
         constants r1 and delta describe the unscaled build and are dropped.
         """
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < eps < np.inf:  # NaN fails too
+            raise ValueError(f"eps must be positive and finite, got {eps!r}")
         rho, phi = self.rho, self.phi
 
         def rho_k(k):

@@ -15,7 +15,12 @@ class ConstructionError(ValueError):
     """A certified construction claim failed (message names the claim)."""
 
 
-_OPERATORS = {"min_ge": ">=", "max_le": "<=", "match": "=="}  # each check kind's relation
+# each check kind's relation: its symbol and whether (value, bound, tol) satisfy it
+_RELATIONS = {
+    "min_ge": (">=", lambda value, bound, tol: value >= bound - tol),
+    "max_le": ("<=", lambda value, bound, tol: value <= bound + tol),
+    "match": ("==", lambda value, bound, tol: abs(value - bound) <= tol),
+}
 
 
 @dataclass(frozen=True)
@@ -38,22 +43,18 @@ class BoundCheck:
     bound_expr: str = ""
 
     def __post_init__(self):
-        if self.kind not in _OPERATORS:
+        if self.kind not in _RELATIONS:
             raise ValueError(f"unknown check kind {self.kind!r}; "
-                             f"expected one of {', '.join(_OPERATORS)}")
+                             f"expected one of {', '.join(_RELATIONS)}")
 
     @property
     def passed(self) -> bool:
-        if self.kind == "min_ge":
-            return bool(self.value >= self.bound - self.tol)
-        if self.kind == "max_le":
-            return bool(self.value <= self.bound + self.tol)
-        return bool(abs(self.value - self.bound) <= self.tol)  # match
+        return bool(_RELATIONS[self.kind][1](self.value, self.bound, self.tol))
 
     def describe(self) -> str:
         expr = f" [{self.bound_expr}]" if self.bound_expr else ""
         status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name}: {self.value:.12g} {_OPERATORS[self.kind]} "
+        return (f"{status} {self.name}: {self.value:.12g} {_RELATIONS[self.kind][0]} "
                 f"{self.bound:.12g}{expr} (tol {self.tol:g})")
 
 

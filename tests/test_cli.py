@@ -248,8 +248,10 @@ def test_verify_unknown_profile_version_is_an_input_error(built, tmp_path, capsy
     (lambda doc: doc["construction"].update(neck_slope="1e-9"), "neck_slope"),
     (lambda doc: doc["construction"].update(neck_slope=float("nan")),
      "neck_slope must be positive"),
+    (lambda doc: doc.update(construction=[0.05]), "'construction' is not an object"),
 ], ids=["missing-grid", "missing-neck-slope", "extra-key", "extra-construction-key",
-        "string-order", "other-ceiling", "string-neck-slope", "nan-neck-slope"])
+        "string-order", "other-ceiling", "string-neck-slope", "nan-neck-slope",
+        "list-construction"])
 def test_verify_malformed_profile_is_an_input_error(built, tmp_path, capsys,
                                                     edit, key):
     path, out = _edited_profile(built, tmp_path, edit)

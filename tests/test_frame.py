@@ -70,6 +70,10 @@ def test_ricci_domain_error_names_factor():
     p = ProfilePair(rho=flat_profile().rho, phi=constant_radial(1.0))
     with pytest.raises(FrameDomainError, match="rho"):
         ricci_diag(p, 0.0)
+    p = ProfilePair(rho=constant_radial(np.inf), phi=constant_radial(1.0))
+    with pytest.raises(FrameDomainError,
+                       match=re.escape("rho is not finite at r=array([1.])")):
+        ricci_diag(p, 1.0)
 
 
 def test_domain_error_names_only_the_offending_radii(reference_profile):
@@ -340,11 +344,13 @@ def test_oracle_round_case():
     assert ric.as_array() == pytest.approx([0, 2, 2, 2], abs=1e-6)
 
 
-def _assert_ricci_diagonal(R):
+def _assert_ricci_diagonal(R, orac):
     # the full contraction Ric[l, m] = sum_k O_k^l(e_m, e_k); the certificate
-    # reads only its diagonal, so the off-diagonal entries must vanish
+    # reads only its diagonal, so the off-diagonal entries must vanish, and
+    # the returned diagonal is that contraction's to the bit
     ric = np.einsum("mkkl->lm", R)
     assert np.abs(ric - np.diag(np.diag(ric))).max() < 1e-9
+    assert np.array_equal(orac.as_array(), np.diag(ric))
 
 
 def test_oracle_agreement_sweep():
@@ -355,7 +361,7 @@ def test_oracle_agreement_sweep():
         closed = ricci_diag(p, r).as_array()
         R, orac = curvature_from_forms(p, r, h=1e-5, check_step=False)
         assert np.allclose(orac.as_array(), closed, rtol=1e-6, atol=1e-9)
-        _assert_ricci_diagonal(R)
+        _assert_ricci_diagonal(R, orac)
 
 
 def test_oracle_on_constructed_profile(reference_profile):
@@ -374,7 +380,7 @@ def test_oracle_on_constructed_profile(reference_profile):
             R, orac = curvature_from_forms(reference_profile, float(r), h=1e-6,
                                            check_step=False)
             assert np.allclose(orac.as_array(), closed, rtol=1e-6, atol=atol)
-            _assert_ricci_diagonal(R)
+            _assert_ricci_diagonal(R, orac)
 
 
 def test_oracle_step_too_large_is_reported():
@@ -387,7 +393,7 @@ def test_oracle_step_too_large_is_reported():
 
 
 def test_step_check_keeps_the_tensor_bits():
-    # the h/2 stencil rides in the same batch and leaves the h result alone
+    # the h/2 stencil is a second evaluation that only checks the h result
     rng = np.random.default_rng(11)
     for _ in range(25):
         p = random_smooth_profile(rng)
@@ -434,6 +440,13 @@ def test_scaling_covariance():
             assert np.allclose(scaled, base / lam**2, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_rescale_needs_a_positive_finite_eps(reference_profile, eps):
+    # nan once gave a NaN profile and inf one with rho = inf and phi' = 0
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        reference_profile.rescale(eps)
+
+
 def test_metric_eval():
     rng = np.random.default_rng(8)
     p = random_smooth_profile(rng)
@@ -455,6 +468,15 @@ _CONTRACT_PROFILES = {
     "rescaled": lambda built: built.rescale(0.5),
     "negative_control": negative_control,
 }
+
+
+def test_radial_function_needs_four_orders():
+    f = constant_radial(1.0)
+    with pytest.raises(ValueError, match="need callables for orders 0..3"):
+        RadialFunction([np.zeros_like] * 3)
+    for order in (-1, 4):
+        with pytest.raises(ValueError, match=f"derivative order {order} not available"):
+            f(1.0, order)
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT_PROFILES))

@@ -189,6 +189,12 @@ def test_unknown_group_is_rejected_before_any_work(monkeypatch, entry):
         entry(profiles.round_profile())
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_neighbor_graph_needs_two_points(n):
+    with pytest.raises(ValueError, match="need at least two points"):
+        neighbor_graph(np.ones(n), np.tile(ONE, (n, 1)), "q8")
+
+
 def test_berger_fiber_collapse_diameter():
     # shrinking the Hopf fiber collapses the fixed-radius sphere onto the
     # half-radius base 2-sphere (diameter pi/2); graph stretch keeps the

@@ -64,15 +64,25 @@ def test_sweep_rejects_a_reversed_or_non_finite_r_max(reference_profile, r_max):
         standard_regions(reference_profile, r_max)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_tolerance_must_be_positive_and_finite(reference_profile, tol):
+_TOL_MESSAGE = "tol must be positive and finite"
+
+
+@pytest.mark.parametrize("n_grid, tol, message", [
+    (64, 0.0, _TOL_MESSAGE),
+    (64, -1.0, _TOL_MESSAGE),
+    (64, np.nan, _TOL_MESSAGE),
+    (64, np.inf, _TOL_MESSAGE),
+    (63, 1e-9, "n_grid must be at least 64"),
+], ids=["0.0", "-1.0", "nan", "inf", "grid-63"])
+def test_tolerance_must_be_positive_and_finite(reference_profile, n_grid, tol, message):
     # at tol = inf the negative control once passed; at nan every check
-    # failed without saying why
+    # failed without saying why; the CLI rejects a small --grid before the
+    # library sees it
     region = standard_regions(reference_profile, 3.0)[0]
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        verify_region(reference_profile, region, n_grid=64, tol=tol)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        verify_nonneg(negative_control(reference_profile), r_max=3.0, n_grid=64, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        verify_region(reference_profile, region, n_grid=n_grid, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        verify_nonneg(negative_control(reference_profile), r_max=3.0, n_grid=n_grid, tol=tol)
 
 
 def test_sweep_is_the_whole_line_region(reference_profile):
