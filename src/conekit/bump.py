@@ -433,12 +433,12 @@ def smoothness_check(profile: ProfilePair) -> VerificationReport:
 
     prod = lambda r: rho(r) * phi(r)
     checks = (
-        BoundCheck("phi(0)", phi(0.0), 0.0, "match", 1e-12),
-        BoundCheck("phi'(0)", d1(phi, h), 4.0, "match", 1e-8),
-        BoundCheck("rho(0)", rho(0.0), 1.0, "match", 1e-12),
-        BoundCheck("rho'(0)", d1(rho, h), 0.0, "match", 1e-8),
-        BoundCheck("rho'''(0)", d3(rho, 1e-3), 0.0, "match", 1e-5),
-        BoundCheck("(rho*phi)''(0)", d2(prod, 1e-4), 0.0, "match", 1e-6),
+        BoundCheck("phi(0)", phi(0.0), 0.0, kind="match", tol=1e-12),
+        BoundCheck("phi'(0)", d1(phi, h), 4.0, kind="match", tol=1e-8),
+        BoundCheck("rho(0)", rho(0.0), 1.0, kind="match", tol=1e-12),
+        BoundCheck("rho'(0)", d1(rho, h), 0.0, kind="match", tol=1e-8),
+        BoundCheck("rho'''(0)", d3(rho, 1e-3), 0.0, kind="match", tol=1e-5),
+        BoundCheck("(rho*phi)''(0)", d2(prod, 1e-4), 0.0, kind="match", tol=1e-6),
     )
     return VerificationReport(label="axis smoothness", grid_size=5,
                               tol=_AXIS_STEP, checks=checks)

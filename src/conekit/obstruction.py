@@ -45,14 +45,23 @@ GROUPS = {
 
 @dataclass(frozen=True)
 class TopologicalData:
-    """Exact Euler number and signature."""
+    """Exact Euler number and signature.
+
+    Both are integers: an int, a numpy integer or a Fraction with
+    denominator 1.  ValueError names a field given anything else, a bool or
+    a float included.
+    """
 
     chi: Fraction
     tau: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", Fraction(self.chi))
-        object.__setattr__(self, "tau", Fraction(self.tau))
+        for name in ("chi", "tau"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Rational)
+                    or value.denominator != 1):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
 
 
 def betti_constraints(b3: int) -> TopologicalData:
@@ -62,7 +71,7 @@ def betti_constraints(b3: int) -> TopologicalData:
     boundary, which forces b0 = 1, b1 = b2 = b4 = 0; only the integer
     b3 >= 0 is free.  Then chi = 1 - b3 and the signature vanishes with b2.
     """
-    if not isinstance(b3, numbers.Integral) or b3 < 0:
+    if isinstance(b3, bool) or not isinstance(b3, numbers.Integral) or b3 < 0:
         raise ValueError(f"b3 must be nonnegative and an integer, got {b3!r}")
     return TopologicalData(chi=1 - b3, tau=0)
 

@@ -6,7 +6,7 @@ claim to its exit code without loading the numeric layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, asdict, dataclass, field
 
 __all__ = ["ConstructionError", "BoundCheck", "VerificationReport"]
 
@@ -38,9 +38,10 @@ class BoundCheck:
     name: str
     value: float
     bound: float
+    _: KW_ONLY
+    bound_expr: str = ""
     kind: str = "min_ge"
     tol: float = 1e-9
-    bound_expr: str = ""
 
     def __post_init__(self):
         if self.kind not in _RELATIONS:
@@ -86,18 +87,7 @@ class VerificationReport:
             "grid_size": self.grid_size,
             "tol": self.tol,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": float(c.value),
-                    "bound": float(c.bound),
-                    "bound_expr": c.bound_expr,
-                    "kind": c.kind,
-                    "tol": float(c.tol),
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
         }
 
     def describe(self) -> str:

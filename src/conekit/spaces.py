@@ -11,11 +11,14 @@ truth the collapse experiment measures the graph against.
 
 Work is split over the CPUs of the process's affinity mask by one helper,
 ``_in_blocks``: one contiguous block per CPU, the first run by the caller
-and each other one by a forked worker.  A lone space splits its all-pairs
-shortest paths by source rows.  The collapse experiment splits its work
-items, the pairs (scale, block of source rows), so a lone scale uses every
-CPU too; a worker never forks.  ``taskset -c 0 ...`` restricts a run to one
-CPU, where nothing is forked.  No result depends on the number of CPUs.
+and each other one by a forked worker.  It also owns the result: a caller
+hands it a function of a range of items and gets back one array, held in
+a shared anonymous map that the workers write their rows into.  A lone
+space splits its all-pairs shortest paths by source rows.  The collapse
+experiment splits its work items, the pairs (scale, block of source rows),
+so a lone scale uses every CPU too; a worker never forks.  ``taskset -c 0
+...`` restricts a run to one CPU, where nothing is forked.  No result
+depends on the number of CPUs.
 
 Memory: every blocked pass (the neighbor pick, the edge weights, the
 shortest-path searches, the edge certificate and the collapse reduction)
@@ -30,6 +33,7 @@ of shortest-path rows against the closed forms as soon as it is found.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import traceback
@@ -280,24 +284,32 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
     return out
 
 
-def _in_blocks(count: int, block) -> None:
-    """Run ``block(lo, hi)`` over contiguous blocks covering ``range(count)``.
+def _in_blocks(count: int, width: int, step: int, part) -> np.ndarray:
+    """The ``(count, width)`` float64 array whose rows ``lo:hi`` are ``part(lo, hi)``.
 
-    There is one block per CPU of the process's affinity mask (at most
-    ``count``).  The caller runs the first block; each other block runs in a
-    forked child, which exits without returning here.  Every child is
-    reaped; then an exception from the caller's own block propagates as it
-    is, and otherwise RuntimeError names the blocks whose child failed.
-    ``block`` must not call ``_in_blocks`` itself: no caller nests a split,
-    so one split forks once per extra CPU and a worker never forks.  With
-    one block nothing is forked.
+    ``range(count)`` is cut into one contiguous block per CPU of the
+    process's affinity mask (at most ``count``).  The caller runs the first
+    block; each other block runs in a forked child, which exits without
+    returning here.  Within a block ``part`` is called on at most ``step``
+    items at a time, in order, and its result is written into the array,
+    which lives in a shared anonymous map so that the children's rows reach
+    the caller.  Every child is reaped; then an exception from the caller's
+    own block propagates as it is, and otherwise RuntimeError names the
+    blocks whose child failed.  ``part`` must not call ``_in_blocks`` itself:
+    no caller nests a split, so one split forks once per extra CPU and a
+    worker never forks.  With one block nothing is forked.
     """
+    out = np.frombuffer(mmap.mmap(-1, 8 * count * width),
+                        dtype=np.float64).reshape(count, width)
+
+    def fill(lo, hi):
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            out[start:stop] = part(start, stop)
+
     # platforms without an affinity mask get one block
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     blocks = min(cpus, count)
-    if blocks <= 1:
-        block(0, count)
-        return
     bounds = [count * b // blocks for b in range(blocks + 1)]
     children = {}
     try:
@@ -306,20 +318,21 @@ def _in_blocks(count: int, block) -> None:
             if pid == 0:  # child: run its block and exit, never return to the caller
                 status = 1
                 try:
-                    block(lo, hi)
+                    fill(lo, hi)
                     status = 0
                 except BaseException:
                     traceback.print_exc()
                 finally:
                     os._exit(status)
             children[pid] = (lo, hi)
-        block(bounds[0], bounds[1])
+        fill(bounds[0], bounds[1])
     finally:
         failed = [(pid, lo, hi) for pid, (lo, hi) in children.items()
                   if os.waitpid(pid, 0)[1] != 0]
     if failed:
         raise RuntimeError("forked worker failed: " + ", ".join(
             f"pid {pid} on [{lo}, {hi}) of {count}" for pid, lo, hi in failed))
+    return out
 
 
 def _adjacency(n: int, edges, weights) -> csr_matrix:
@@ -345,25 +358,13 @@ def _dijkstra_rows(graph: csr_matrix, start: int, stop: int) -> np.ndarray:
 def geodesics(n: int, edges, weights) -> np.ndarray:
     """Stage 3: all-pairs Dijkstra distances over the weighted graph on n points.
 
-    The source rows are split by ``_in_blocks``, one contiguous block per
-    CPU of the affinity mask: forked children write their rows into a
-    shared anonymous map and the caller fills the first block.  On one CPU
-    it forks nothing.  Each block is searched ``_BLOCK // n`` rows at a
-    time, written straight into the map, and the rows are then made exactly
-    symmetric tile by tile inside it; the map-backed array is returned.
-    The result does not depend on the split.
+    The source rows are split over the CPUs by ``_in_blocks``, ``_BLOCK //
+    n`` per search, and then made exactly symmetric tile by tile in the
+    array it returns.  The result does not depend on the split.
     """
     graph = _adjacency(n, edges, weights)
-    shared = mmap.mmap(-1, 8 * n * n)
-    rows = np.frombuffer(shared, dtype=np.float64).reshape(n, n)
-    step = max(1, _BLOCK // n)  # sources per search
-
-    def fill(lo, hi):
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            rows[start:stop] = _dijkstra_rows(graph, start, stop)
-
-    _in_blocks(n, fill)
+    rows = _in_blocks(n, n, max(1, _BLOCK // n),
+                      lambda lo, hi: _dijkstra_rows(graph, lo, hi))
     # exact symmetry, made in place: the map is the only n x n array
     farthest = 0.0
     for r, c in _tiles(n):
@@ -563,11 +564,10 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     gap by more than 1e-12 of it.
 
     The work items, the pairs (scale, row block) in order, are split by
-    ``_in_blocks``, so a lone scale uses every CPU too.  A process builds
-    the graph of each scale it meets once, never forks, and writes each
-    item's partial reductions into its slot of a shared anonymous map; the
-    caller combines them in item order, so the rows do not depend on the
-    number of CPUs.
+    ``_in_blocks``, so a lone scale uses every CPU too.  Each item returns
+    its partial reductions, and a process builds the graph of each scale it
+    meets once; the caller combines the items in order, so the rows do not
+    depend on the number of CPUs.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -605,36 +605,34 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
 
     step = max(1, _BLOCK // n)  # source rows per work item
     per_scale = -(-n // step)
-    # per item: drawn gh, row max, stretch max, min and sum
-    shared = mmap.mmap(-1, 8 * 5 * len(eps_arr) * per_scale)
-    table = np.frombuffer(shared, dtype=np.float64).reshape(len(eps_arr), per_scale, 5)
 
-    def measure(first, stop):
-        scale = None
-        for item in range(first, stop):
-            idx, part = divmod(item, per_scale)
-            if idx != scale:
-                scale, eps = idx, eps_arr[idx]
-                radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
-                edges = neighbor_graph(radii, quats, "q8")
-                graph = _adjacency(n, edges, weigh(profile.rescale(eps), radii, quats,
-                                                   edges, "q8"))
-                shift = eps * offset / slope  # the tail's apex shift
-            lo, hi = part * step, min(part * step + step, n)
-            dist = _dijkstra_rows(graph, lo, hi)
-            s2 = _half_sine2(_quotient_angles(quats[lo:hi], quats, "q8"), slope)
-            s2[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
-            ra = radii[lo:hi, None]
-            cone = _chord(ra, radii, 0.0, s2)
-            smooth = _chord(ra, radii, shift, s2)
-            # a source's own entry, 0 in both metrics, counts as 0 and is no pair
-            apart = smooth > 0
-            stretch = np.divide(dist, smooth, out=np.zeros_like(smooth), where=apart)
-            table[idx, part] = (gh_upper_bound(smooth, cone), diameter(dist),
-                                stretch.max(), stretch.min(where=apart, initial=np.inf),
-                                stretch.sum())
+    @functools.lru_cache(maxsize=1)  # a process meets its scales in order
+    def scale(idx):
+        eps = eps_arr[idx]
+        radii, quats = _draw_points([seed, idx], n, eps, r_outer, "q8")
+        edges = neighbor_graph(radii, quats, "q8")
+        graph = _adjacency(n, edges, weigh(profile.rescale(eps), radii, quats, edges, "q8"))
+        return radii, quats, graph, eps * offset / slope  # the tail's apex shift
 
-    _in_blocks(len(eps_arr) * per_scale, measure)
+    def measure(item):
+        """One work item's drawn gh, row max, and stretch max, min and sum."""
+        idx, part = divmod(item, per_scale)
+        radii, quats, graph, shift = scale(idx)
+        lo, hi = part * step, min(part * step + step, n)
+        dist = _dijkstra_rows(graph, lo, hi)
+        s2 = _half_sine2(_quotient_angles(quats[lo:hi], quats, "q8"), slope)
+        s2[np.arange(hi - lo), np.arange(lo, hi)] = 0.0  # each point's own fiber
+        ra = radii[lo:hi, None]
+        cone = _chord(ra, radii, 0.0, s2)
+        smooth = _chord(ra, radii, shift, s2)
+        # a source's own entry, 0 in both metrics, counts as 0 and is no pair
+        apart = smooth > 0
+        stretch = np.divide(dist, smooth, out=np.zeros_like(smooth), where=apart)
+        return (gh_upper_bound(smooth, cone), diameter(dist), stretch.max(),
+                stretch.min(where=apart, initial=np.inf), stretch.sum())
+
+    table = _in_blocks(len(eps_arr) * per_scale, 5, 1, lambda item, _: measure(item))
+    table = table.reshape(len(eps_arr), per_scale, 5)
     rows = []
     for eps, gap, parts in zip(eps_arr, gaps, table.tolist()):
         drawn, diam, stretch_max, stretch_min, stretch_sum = zip(*parts)

@@ -96,7 +96,7 @@ def _checks(region: Region, profile: ProfilePair, radii: np.ndarray,
     def check(name, samples, bound, kind, expr="", tol=tol):
         value = {"min_ge": np.min, "max_le": np.max,
                  "match": lambda s: np.abs(s).max()}[kind](samples)
-        return BoundCheck(name, float(value), bound, kind, tol, bound_expr=expr)
+        return BoundCheck(name, float(value), bound, bound_expr=expr, kind=kind, tol=tol)
 
     bounds = dict.fromkeys(ENTRY_NAMES, (0.0, "0"))
     extra = []

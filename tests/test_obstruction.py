@@ -1,7 +1,9 @@
 """Exact rational obstruction arithmetic."""
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conekit.obstruction import (
@@ -75,9 +77,24 @@ def test_betti_constraints():
         betti_constraints(-1)
 
 
-@pytest.mark.parametrize("b3", [2.5, 2.0, float("nan"), Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("b3", [2.5, 2.0, float("nan"), Fraction(1, 2), True], ids=str)
 def test_betti_constraints_rejects_a_non_integer_b3(b3):
-    # 2.5 once gave chi = -3/2, which no filling has
+    # 2.5 once gave chi = -3/2, which no filling has, and True chi = 0
     with pytest.raises(ValueError, match="an integer"):
         betti_constraints(b3)
+
+
+@pytest.mark.parametrize("field", ["chi", "tau"])
+@pytest.mark.parametrize("value", [0.1, 0.5, Fraction(1, 2), True], ids=str)
+def test_topological_data_rejects_a_non_integer(field, value):
+    # 0.1 once became the Fraction of its binary expansion
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        TopologicalData(**{"chi": 1, "tau": 0, field: value})
+
+
+@pytest.mark.parametrize("value", [Fraction(5), np.int64(3), -4], ids=str)
+def test_topological_data_takes_integers_exactly(value):
+    data = TopologicalData(chi=value, tau=value)
+    assert data.chi == data.tau == int(value)
+    assert type(data.chi) is type(data.tau) is Fraction
 

@@ -413,6 +413,27 @@ def _use_cpus(monkeypatch, cpus):
     return forks
 
 
+@pytest.mark.parametrize("cpus, chunks", [
+    (1, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
+    # blocks [0, 3), [3, 6) and [6, 10), each searched 2 items at a time
+    (3, [(0, 2), (2, 3), (3, 5), (5, 6), (6, 8), (8, 10)]),
+])
+def test_in_blocks_returns_every_block_rows(monkeypatch, cpus, chunks):
+    forks = _use_cpus(monkeypatch, cpus)
+
+    def part(lo, hi):  # each row records its item, its call and its process
+        return [(item, lo, hi, os.getpid()) for item in range(lo, hi)]
+    out = spaces._in_blocks(10, 4, 2, part)
+    assert out.shape == (10, 4) and out.dtype == np.float64
+    assert out[:, 0].tolist() == list(range(10))
+    assert [(lo, hi) for lo, hi in out[:, 1:3].astype(int).tolist()] == [
+        chunk for chunk in chunks for _ in range(*chunk)]
+    pids = out[:, 3].astype(int)
+    assert pids[0] == os.getpid()
+    assert len(set(pids.tolist())) == cpus
+    assert len(forks) == cpus - 1
+
+
 @pytest.mark.parametrize("kind", ["annulus", "sphere"])
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_geodesics_split_is_exact(monkeypatch, lab_profile, kind, cpus):
@@ -805,6 +826,21 @@ def test_collapse_single_eps_splits_its_rows(monkeypatch, lab_profile):
     forks = _use_cpus(monkeypatch, 2)
     assert collapse_experiment(lab_profile, (1.0,), n=200, seed=5) == expect
     assert len(forks) == 1
+
+
+def test_collapse_builds_each_scale_once(monkeypatch, lab_profile):
+    # at n = 200 a scale is two work items; one process measures both from
+    # one graph
+    _use_cpus(monkeypatch, 1)
+    real = spaces.neighbor_graph
+    built = []
+
+    def counting(*args):
+        built.append(1)
+        return real(*args)
+    monkeypatch.setattr(spaces, "neighbor_graph", counting)
+    collapse_experiment(lab_profile, EPS4[:2], n=200, seed=5)
+    assert len(built) == 2
 
 
 def test_collapse_holds_no_distance_matrix(monkeypatch, lab_profile):

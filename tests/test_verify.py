@@ -328,9 +328,11 @@ def test_report_serialization(reference_profile):
 
 def test_check_kind_is_checked_at_construction():
     for kind in ("min_ge", "max_le", "match"):
-        assert BoundCheck("x", 1.0, 0.0, kind).kind == kind
+        assert BoundCheck("x", 1.0, 0.0, kind=kind).kind == kind
     with pytest.raises(ValueError, match="'min_gt'; expected one of min_ge, max_le, match"):
-        BoundCheck("x", 1.0, 0.0, "min_gt")
+        BoundCheck("x", 1.0, 0.0, kind="min_gt")
+    with pytest.raises(TypeError):  # a positional kind would land in another field
+        BoundCheck("x", 1.0, 0.0, "match")
 
 
 def test_part1_closed_identities(reference_profile):
