@@ -16,7 +16,9 @@ nodes on its own, so a radius gets the same bits in any batch and under
 any BLAS kernel.
 
 Every property claimed of the construction is certified on a grid at build
-time; a failed claim raises :class:`ConstructionError` naming the claim.
+time by the verifier's rule, :meth:`BoundCheck.sampled`, so a NaN sample
+fails it; a failed claim raises :class:`ConstructionError` naming the
+claim, its measured value and its bound.
 """
 
 from __future__ import annotations
@@ -190,23 +192,31 @@ def make_eta() -> BumpSpec:
     return spec
 
 
+def _claim(name: str, samples, bound: float, *, kind: str = "min_ge", tol: float) -> None:
+    """Certify the claim ``name``: its samples (an array or a scalar) against
+    ``bound`` as :meth:`BoundCheck.sampled` checks them.  A failed claim
+    raises :class:`ConstructionError` naming it, its measured value and its bound."""
+    check = BoundCheck.sampled(name, np.asarray(samples), bound, kind=kind, tol=tol)
+    if not check.passed:
+        raise ConstructionError(f"claim failed: {name} (measured {check.value:.12g}, "
+                                f"bound {bound:.12g}, tol {tol:g})")
+
+
 def _certify_eta(spec: BumpSpec) -> None:
     lo, hi = _SUPPORT
     xs = np.linspace(lo, hi, _ETA_CHECKS)
     vals = spec.eta(xs)
-    if np.any(vals < -1e-12) or np.any(vals > CEILING + 1e-12):
-        raise ConstructionError("range claim failed: eta outside [0, ceiling]")
-    outside = spec.eta(np.array([lo - 0.05, lo - 1e-9, hi + 1e-9, hi + 0.05]))
-    if np.any(np.abs(outside) > 0.0):
-        raise ConstructionError("support claim failed: eta != 0 outside support")
+    _claim("range: eta >= 0", vals, 0.0, tol=1e-12)
+    _claim("range: eta <= ceiling", vals, CEILING, kind="max_le", tol=1e-12)
+    _claim("support: eta = 0 outside its support",
+           spec.eta(np.array([lo - 0.05, lo - 1e-9, hi + 1e-9, hi + 0.05])), 0.0,
+           kind="match", tol=0.0)
     p0, p1 = PLATEAU
-    fw = xs[(xs >= p0) & (xs <= p1)]
-    if np.any(spec.eta(fw) < FLOOR - 1e-12):
-        raise ConstructionError("floor claim failed: eta < floor on the plateau")
+    _claim("floor: eta >= floor on the plateau", vals[(xs >= p0) & (xs <= p1)], FLOOR,
+           tol=1e-12)
     t0, t1 = _TAIL_WINDOW
-    tw = xs[(xs >= t0) & (xs <= t1)]
-    if np.any(spec.eta_prime(tw) > 1e-12):
-        raise ConstructionError("tail monotonicity claim failed: eta' > 0 on tail window")
+    _claim("tail monotonicity: eta' <= 0 on the tail window",
+           spec.eta_prime(xs[(xs >= t0) & (xs <= t1)]), 0.0, kind="max_le", tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +296,8 @@ def build_table(bump: BumpSpec) -> QuadratureTable:
     grid = _panel_edges(bump.segments, CELLS_PER_SEGMENT)
     e_hi, p_hi = _cumulative(bump, grid, ORDER)
     e_lo, p_lo = _cumulative(bump, grid, ORDER // 2)
-    gap = max(np.max(np.abs(e_hi - e_lo)), np.max(np.abs(p_hi - p_lo)))
-    if not gap <= 1e-12:  # NaN fails too
-        raise ConstructionError(
-            f"quadrature claim failed: orders {ORDER} and {ORDER // 2} differ by {gap!r}")
+    _claim(f"quadrature orders {ORDER} and {ORDER // 2} differ by at most tol",
+           np.concatenate([e_hi - e_lo, p_hi - p_lo]), 0.0, kind="match", tol=1e-12)
     return QuadratureTable(bump=bump, grid=grid, first_antiderivative=e_hi,
                            second_antiderivative=p_hi)
 
@@ -307,10 +315,9 @@ def compute_r1(eta: BumpSpec) -> float:
     """
     val = _segment_quad(lambda s: (0.25 - s) * eta.eta(s), eta.segments)
     r1 = 0.25 * val
-    if not (0.0 < r1 < 0.25):
+    if not (0.0 < r1 < 0.25):  # strict, and NaN fails too
         raise ConstructionError(f"invalid bump: r1 = {float(r1)} outside (0, 1/4)")
-    if r1 < 1.0 / 32.0:
-        raise ConstructionError(f"invalid bump: r1 = {float(r1)} below 1/32")
+    _claim("r1 >= 1/32", r1, 1.0 / 32.0, tol=0.0)
     return r1
 
 
@@ -332,19 +339,14 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable) -> RadialFunction
     ])
 
     head = np.linspace(0.0, r1, _PROFILE_CHECKS)
-    if np.max(np.abs(phi(head, 1) - 4.0)) > 1e-12:
-        raise ConstructionError("claim failed: phi' = 4 on [0, r1]")
+    _claim("phi' = 4 on [0, r1]", phi(head, 1) - 4.0, 0.0, kind="match", tol=1e-12)
     tail = np.linspace(sup_hi + r1, sup_hi + r1 + 4.0, _PROFILE_CHECKS)
-    if np.max(np.abs(phi(tail, 1))) > 1e-10:
-        raise ConstructionError("claim failed: phi' = 0 beyond 1/4 + r1")
-    if abs(phi(sup_hi + r1) - 1.0) > 1e-10:
-        raise ConstructionError(
-            f"claim failed: phi(1/4 + r1) = {phi(sup_hi + r1)!r} != 1")
+    _claim("phi' = 0 beyond 1/4 + r1", phi(tail, 1), 0.0, kind="match", tol=1e-10)
+    _claim("phi(1/4 + r1) = 1", phi(sup_hi + r1) - 1.0, 0.0, kind="match", tol=1e-10)
     body = np.linspace(0.0, sup_hi + r1 + 4.0, 4 * _PROFILE_CHECKS)
     values = phi(body)
-    if np.max(values) > 1.0 + 1e-10:
-        raise ConstructionError("claim failed: phi exceeds 1")
-    if np.min(values[body > 0]) <= 0.0:
+    _claim("phi <= 1", values, 1.0, kind="max_le", tol=1e-10)
+    if not np.min(values[body > 0]) > 0.0:  # strict, and NaN fails too
         raise ConstructionError("claim failed: phi not positive on (0, inf)")
     return phi
 
@@ -378,18 +380,14 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
         lambda r: 2.0 * delta * eta.eta_prime(2.0 * r - shift),
     ])
 
-    if delta > 32.0 * neck_slope:
-        raise ConstructionError(
-            f"claim failed: delta = {delta!r} exceeds 32 * neck_slope")
+    _claim("delta <= 32 * neck_slope", delta, 32.0 * neck_slope, kind="max_le", tol=0.0)
     head = np.linspace(0.0, r1 + 1.0 / 16.0, _PROFILE_CHECKS)
-    if np.max(np.abs(rho(head) - 1.0)) > 1e-13:
-        raise ConstructionError("claim failed: rho != 1 on [0, r1 + 1/16]")
+    _claim("rho = 1 on [0, r1 + 1/16]", rho(head) - 1.0, 0.0, kind="match", tol=1e-13)
     tail = np.linspace(r1 + 3.0 / 16.0, r1 + 4.0, _PROFILE_CHECKS)
-    if np.max(np.abs(rho(tail, 1) - neck_slope)) > 1e-12 * neck_slope:
-        raise ConstructionError("claim failed: rho' != neck_slope on the tail")
+    _claim("rho' = neck_slope on the tail", rho(tail, 1) - neck_slope, 0.0,
+           kind="match", tol=1e-12 * neck_slope)
     body = np.linspace(0.0, r1 + 4.0, 4 * _PROFILE_CHECKS)
-    if np.min(rho(body, 2)) < -1e-15:
-        raise ConstructionError("claim failed: rho'' < 0 somewhere")
+    _claim("rho'' >= 0", rho(body, 2), 0.0, tol=1e-15)
     return rho, delta
 
 

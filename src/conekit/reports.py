@@ -1,7 +1,12 @@
 """Pass/fail types shared by the builders and verifiers.
 
-The module imports no numpy, so the CLI can map a failed construction
-claim to its exit code without loading the numeric layers.
+Every certified claim, a construction claim of ``bump`` or a curvature
+check of ``verify``, follows one rule, kept here in ``_RELATIONS``: a
+sampled quantity is reduced by its check's kind (its minimum, its maximum
+or its largest magnitude, NaN propagating) and compared with its bound, a
+comparison that NaN fails.  The module imports no numpy, so the CLI can
+map a failed construction claim to its exit code without loading the
+numeric layers.
 """
 
 from __future__ import annotations
@@ -15,12 +20,21 @@ class ConstructionError(ValueError):
     """A certified construction claim failed (message names the claim)."""
 
 
-# each check kind's relation: its symbol and whether (value, bound, tol) satisfy it
+# each check kind's relation: its symbol, the reduction of a numpy array of
+# samples to the value compared (numpy's min and max propagate NaN), and
+# whether (value, bound, tol) satisfy it, which a NaN value never does
 _RELATIONS = {
-    "min_ge": (">=", lambda value, bound, tol: value >= bound - tol),
-    "max_le": ("<=", lambda value, bound, tol: value <= bound + tol),
-    "match": ("==", lambda value, bound, tol: abs(value - bound) <= tol),
+    "min_ge": (">=", lambda s: s.min(), lambda value, bound, tol: value >= bound - tol),
+    "max_le": ("<=", lambda s: s.max(), lambda value, bound, tol: value <= bound + tol),
+    "match": ("==", lambda s: abs(s).max(), lambda value, bound, tol: abs(value - bound) <= tol),
 }
+
+
+def _relation(kind: str):
+    if kind not in _RELATIONS:
+        raise ValueError(f"unknown check kind {kind!r}; "
+                         f"expected one of {', '.join(_RELATIONS)}")
+    return _RELATIONS[kind]
 
 
 @dataclass(frozen=True)
@@ -33,6 +47,7 @@ class BoundCheck:
 
     ``bound_expr`` optionally carries the symbolic form of the bound (e.g.
     "2 - 2*c^2") next to its representable 64-bit value.
+    :meth:`sampled` builds a check from the samples of its quantity.
     """
 
     name: str
@@ -44,13 +59,27 @@ class BoundCheck:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.kind not in _RELATIONS:
-            raise ValueError(f"unknown check kind {self.kind!r}; "
-                             f"expected one of {', '.join(_RELATIONS)}")
+        _relation(self.kind)
+
+    @classmethod
+    def sampled(cls, name: str, samples, bound: float, *, kind: str = "min_ge",
+                tol: float = 1e-9, bound_expr: str = "") -> "BoundCheck":
+        """The check of a numpy array of samples (0-d too), reduced by ``kind``.
+
+        ``min_ge`` keeps the minimum, ``max_le`` the maximum and ``match``
+        the largest magnitude, so a NaN sample makes the check fail.  A
+        ``match`` therefore compares residuals with 0: ``ValueError`` for a
+        nonzero bound, whose target belongs inside the samples.
+        """
+        reduce = _relation(kind)[1]
+        if kind == "match" and bound != 0:
+            raise ValueError(f"a sampled match compares magnitudes with 0, got bound {bound!r}")
+        return cls(name, float(reduce(samples)), bound, bound_expr=bound_expr,
+                   kind=kind, tol=tol)
 
     @property
     def passed(self) -> bool:
-        return bool(_RELATIONS[self.kind][1](self.value, self.bound, self.tol))
+        return bool(_RELATIONS[self.kind][2](self.value, self.bound, self.tol))
 
     def describe(self) -> str:
         expr = f" [{self.bound_expr}]" if self.bound_expr else ""

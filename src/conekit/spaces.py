@@ -14,11 +14,11 @@ Work is split over the CPUs of the process's affinity mask by one helper,
 and each other one by a forked worker.  It also owns the result: a caller
 hands it a function of a range of items and gets back one array, held in
 a shared anonymous map that the workers write their rows into.  A lone
-space splits its all-pairs shortest paths by source rows.  The collapse
-experiment splits its work items, the pairs (scale, block of source rows),
-so a lone scale uses every CPU too; a worker never forks.  ``taskset -c 0
-...`` restricts a run to one CPU, where nothing is forked.  No result
-depends on the number of CPUs.
+space splits its all-pairs shortest paths by source rows and its edge
+certificate by edges.  The collapse experiment splits its work items, the
+pairs (scale, block of source rows), so a lone scale uses every CPU too; a
+worker never forks.  ``taskset -c 0 ...`` restricts a run to one CPU,
+where nothing is forked.  No result depends on the number of CPUs.
 
 Memory: every blocked pass (the neighbor pick, the edge weights, the
 shortest-path searches, the edge certificate and the collapse reduction)
@@ -114,27 +114,21 @@ class SampledSpace:
         edge gives ``d[s,t] <=`` its length (up to the tolerance per hop), so
         d is the shortest-path metric of the graph and the triangle
         inequality holds for every triple.  Symmetry is compared one pair of
-        mirrored tiles at a time, so the check makes no n x n array.
+        mirrored tiles at a time, so the check makes no n x n array; the
+        edges are split over the CPUs by ``_in_blocks``.
         """
         d = self.dist
         sym = all(np.array_equal(d[r, c], d[c, r].T) for r, c in _tiles(self.n))
         diag = bool(np.all(np.diag(d) == 0.0))
-        worst = 0.0
-        # edges per pass: _BLOCK gathered distances per buffer; the passes
-        # reuse two buffers, so none of them allocates
-        block = max(1, _BLOCK // self.n)
-        near, far = np.empty((2, block, self.n))
-        for lo in range(0, len(self.edges), block):
-            a, b = self.edges[lo:lo + block].T
-            gap, other = near[:len(a)], far[:len(a)]
-            # edges index the matrix, so clipping never acts; mode "raise"
-            # would copy ``out``
-            np.take(d, a, axis=0, out=gap, mode="clip")
-            np.take(d, b, axis=0, out=other, mode="clip")
-            np.subtract(gap, other, out=gap)
-            np.abs(gap, out=gap)
-            slack = gap.max(axis=1) - self.weights[lo:lo + block]
-            worst = max(worst, float(slack.max()))
+
+        def slack(lo, hi):
+            a, b = self.edges[lo:hi].T
+            return (np.abs(d[a] - d[b]).max(1) - self.weights[lo:hi])[:, None]
+        # _BLOCK // n edges per pass, so each temporary holds _BLOCK
+        # distances; a split of no edges would map 0 bytes
+        count = len(self.edges)
+        worst = (float(_in_blocks(count, 1, max(1, _BLOCK // self.n), slack).max(initial=0.0))
+                 if count else 0.0)
         return {"symmetric": sym, "diag_zero": diag,
                 "edge_violation": worst,
                 "ok": sym and diag and worst <= 1e-12 * max(1.0, float(d.max()))}

@@ -9,8 +9,9 @@ fixed grid, a uniform grid plus 48 halvings of its first step toward each
 endpoint, in one ``ricci_curve`` call, and certifies "no grid violation at
 tolerance tol" on it, as its label says.  tol sets only the comparison.
 
-Every check follows one rule, in ``_checks``: a quantity sampled on the
-grid is reduced by its kind (minimum, maximum, or largest magnitude for a
+Every check follows the one rule of ``reports.BoundCheck.sampled``, which
+the construction claims follow too: a quantity sampled on the grid is
+reduced by its kind (minimum, maximum, or largest magnitude for a
 ``match``) and compared with its bound.  Part2 and Part4 read the
 construction constants (r1, delta, neck_slope), and a profile without
 them is rejected for those labels.  Bounds involving the reference
@@ -21,6 +22,7 @@ actually compared.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,16 +90,11 @@ def _grid(lo: float, hi: float, n_grid: int) -> np.ndarray:
 
 def _checks(region: Region, profile: ProfilePair, radii: np.ndarray,
             vals: np.ndarray, tol: float) -> list[BoundCheck]:
-    """Every check of one report, each a sampled quantity reduced by its kind
-    (``min_ge`` its minimum, ``max_le`` its maximum, ``match`` its largest
-    magnitude) against its bound: the four Ricci minima, then the quantities
-    the label's piece of the curvature argument leans on.  A derivative is
-    evaluated only under a label that checks it."""
-    def check(name, samples, bound, kind, expr="", tol=tol):
-        value = {"min_ge": np.min, "max_le": np.max,
-                 "match": lambda s: np.abs(s).max()}[kind](samples)
-        return BoundCheck(name, float(value), bound, bound_expr=expr, kind=kind, tol=tol)
-
+    """Every check of one report, each a sampled quantity against its bound:
+    the four Ricci minima, then the quantities the label's piece of the
+    curvature argument leans on.  A derivative is evaluated only under a
+    label that checks it."""
+    check = functools.partial(BoundCheck.sampled, tol=tol)
     bounds = dict.fromkeys(ENTRY_NAMES, (0.0, "0"))
     extra = []
     if region.label == "Part1":
@@ -107,23 +104,25 @@ def _checks(region: Region, profile: ProfilePair, radii: np.ndarray,
         slack = 3.0 * CEILING * profile.delta + 2.0 * profile.neck_slope / profile.r1
         bounds["r00"] = (FLOOR - slack, "16 - (192*delta + 2*neck_slope/r1)")
         rho2 = profile.rho(radii, 2)
-        extra = [check("rho''_min", rho2, 0.0, "min_ge"),
-                 check("rho''_max", rho2, CEILING * profile.delta, "max_le", "64*delta"),
-                 check("phi''_max", profile.phi(radii, 2), -FLOOR, "max_le")]
+        extra = [check("rho''_min", rho2, 0.0),
+                 check("rho''_max", rho2, CEILING * profile.delta, kind="max_le",
+                       bound_expr="64*delta"),
+                 check("phi''_max", profile.phi(radii, 2), -FLOOR, kind="max_le")]
     elif region.label == "Part3":
         phi1 = profile.phi(radii, 1)
-        extra = [check("phi'''_min", profile.phi(radii, 3), 0.0, "min_ge"),
-                 check("phi'_min", phi1, 0.0, "min_ge"),
+        extra = [check("phi'''_min", profile.phi(radii, 3), 0.0),
+                 check("phi'_min", phi1, 0.0),
                  check("phi' + phi''/16 max", phi1 + profile.phi(radii, 2) / 16.0, 0.0,
-                       "max_le", "phi' <= -phi''/16")]
+                       kind="max_le", bound_expr="phi' <= -phi''/16")]
     elif region.label == "Part4":
         # on the tail rho'' = 0, rho' = c and phi = 1, so r00 = 0 and
         # r11 = r22 = r33 = (2 - 2c^2)/rho^2 exactly
         tail = profile.rho(radii) ** 2 * vals[1:] - (2.0 - 2.0 * profile.neck_slope ** 2)
-        extra = [check("r00_flat", vals[0], 0.0, "match", "r00 == 0 on the tail", 1e-10),
-                 check("r_ii_tail", tail, 0.0, "match",
-                       "rho^2*r_ii == 2 - 2*neck_slope^2 on the tail", 1e-10)]
-    minima = [check(f"{name}_min", row, bound, "min_ge", expr)
+        extra = [check("r00_flat", vals[0], 0.0, kind="match", tol=1e-10,
+                       bound_expr="r00 == 0 on the tail"),
+                 check("r_ii_tail", tail, 0.0, kind="match", tol=1e-10,
+                       bound_expr="rho^2*r_ii == 2 - 2*neck_slope^2 on the tail")]
+    minima = [check(f"{name}_min", row, bound, bound_expr=expr)
               for name, row, (bound, expr) in zip(ENTRY_NAMES, vals, bounds.values())]
     return minima + extra
 

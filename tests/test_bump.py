@@ -284,6 +284,21 @@ def test_rho_convexity(lab_profile):
     assert np.min(lab_profile.rho(rs, 2)) >= 0.0
 
 
+@pytest.mark.parametrize("claim, build", [
+    (r"rho = 1 on \[0, r1 \+ 1/16\]",
+     lambda eta, table: bump.make_rho(eta, np.nan, 0.05, table)),
+    (r"phi' = 4 on \[0, r1\]", lambda eta, table: bump.make_phi(eta, np.nan, table)),
+    (r"range: eta >= 0", lambda eta, table: bump._certify_eta(replace(
+        eta, eta=lambda x: np.where((x > 0.1) & (x < 0.11), np.nan, eta.eta(x))))),
+], ids=["rho", "phi", "eta"])
+def test_a_nan_sample_fails_its_claim(eta, table, claim, build):
+    # a NaN r1 makes the profiles NaN, and the holed bump is NaN on part of
+    # its plateau; each claim reduces its samples to NaN, which fails it
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ConstructionError, match=claim + r" \(measured nan, bound 0,"):
+        build(eta, table)
+
+
 def test_rho_rejects_bad_slope(eta, table):
     r1 = bump.compute_r1(eta)
     with pytest.raises(ValueError, match="neck_slope"):

@@ -251,9 +251,10 @@ def test_sampled_space_metric_axioms(lab_profile):
     assert slack <= 1e-12
 
 
-def test_edge_certificate_is_complete():
-    # a 1e-9 violation on one edge whose endpoints avoid an evenly spaced
-    # 128-point pivot subset: a check through sampled pivots misses it
+@pytest.fixture(scope="module")
+def violated_sphere():
+    """A 900-point sphere with a 1e-9 violation on one edge whose endpoints
+    avoid an evenly spaced 128-point pivot subset."""
     space = sample_sphere(profiles.round_profile(), 1.0, 900, seed=3,
                           group="trivial")
     pivots = set(np.linspace(0, space.n - 1, 128).astype(int).tolist())
@@ -262,10 +263,28 @@ def test_edge_certificate_is_complete():
     dist = space.dist.copy()
     dist[a, b] += 1e-9
     dist[b, a] += 1e-9
-    report = replace(space, dist=dist).metric_axioms_report()
+    return replace(space, dist=dist)
+
+
+def test_edge_certificate_is_complete(violated_sphere):
+    # a check through sampled pivots misses the violation
+    report = violated_sphere.metric_axioms_report()
     assert report["symmetric"] and report["diag_zero"]
     assert report["edge_violation"] == pytest.approx(1e-9, rel=1e-6)
     assert not report["ok"]
+
+
+def test_edge_certificate_split_is_exact(monkeypatch, violated_sphere):
+    # the edges are split over the CPUs: three CPUs fork twice and give the
+    # one-CPU report, the violation included
+    reports = []
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            forks = _use_cpus(patch, cpus)
+            reports.append(violated_sphere.metric_axioms_report())
+            assert len(forks) == cpus - 1
+    assert reports[0] == reports[1]
+    assert reports[0]["edge_violation"] == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_edge_certificate_on_explicit_matrix():
@@ -277,6 +296,9 @@ def test_edge_certificate_on_explicit_matrix():
     assert not report["ok"]
     good = _complete_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert good.metric_axioms_report()["ok"]
+    # a one-point space has no edges to certify
+    assert _complete_space([[0.0]]).metric_axioms_report() == {
+        "symmetric": True, "diag_zero": True, "edge_violation": 0.0, "ok": True}
 
 
 def test_sample_determinism(lab_profile):

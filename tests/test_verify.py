@@ -335,6 +335,28 @@ def test_check_kind_is_checked_at_construction():
         BoundCheck("x", 1.0, 0.0, "match")
 
 
+@pytest.mark.parametrize("kind, reduce", [
+    ("min_ge", np.min), ("max_le", np.max), ("match", lambda s: np.abs(s).max())])
+def test_sampled_check_reduces_by_kind(kind, reduce):
+    samples = np.random.default_rng(0).uniform(-3.0, 3.0, (4, 5))
+    check = BoundCheck.sampled("x", samples, 0.0, kind=kind, tol=10.0, bound_expr="0")
+    assert check == BoundCheck("x", float(reduce(samples)), 0.0, kind=kind, tol=10.0,
+                               bound_expr="0")
+    assert check.passed
+    samples[2, 3] = np.nan
+    for bad in (samples, np.array(np.nan), np.float64(np.nan)):
+        assert not BoundCheck.sampled("x", bad, 0.0, kind=kind, tol=10.0).passed
+    zero_d = BoundCheck.sampled("x", np.array(-2.0), 0.0, kind=kind, tol=10.0)
+    assert zero_d.value == float(reduce(np.array(-2.0))) and zero_d.passed
+
+
+def test_sampled_match_compares_residuals_with_zero():
+    with pytest.raises(ValueError, match="compares magnitudes with 0, got bound 1.0"):
+        BoundCheck.sampled("x", np.ones(3), 1.0, kind="match")
+    with pytest.raises(ValueError, match="'min_gt'; expected one of min_ge, max_le, match"):
+        BoundCheck.sampled("x", np.ones(3), 0.0, kind="min_gt")
+
+
 def test_part1_closed_identities(reference_profile):
     # with rho == 1 the entries reduce to bump expressions:
     # r00 = eta(r - r1)/phi, r11 = r00 + 2 phi^2, r22 = 4 - 2 phi^2
