@@ -78,9 +78,13 @@ _SEGMENT_PANELS = 8
 # ---------------------------------------------------------------------------
 
 def _exp_ramp(x):
-    """exp(-1/x) for x > 0, identically 0 for x <= 0 (all derivatives vanish at 0)."""
+    """exp(-1/x) for x > 0, identically 0 for x <= 0 (all derivatives vanish at 0).
+
+    NaN stays NaN, so ``smooth_step`` of NaN is NaN/NaN, which numpy does
+    not warn about, and not 0/0, which it does.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    out = np.where(np.isnan(x), x, 0.0)
     pos = x > 1e-150  # below this exp(-1/x) underflows to 0 anyway
     out[pos] = np.exp(-1.0 / x[pos])
     return out

@@ -2,6 +2,10 @@
 
 Subcommands build certified profiles, run the curvature verification, run
 the collapse experiment, and print the exact obstruction arithmetic.
+``verify`` and ``collapse`` build their curvature reports with one helper
+and print every report with another, so one rule, kept in ``reports``,
+decides each PASS/FAIL line; collapse adds the report of its own gates and
+writes all six as ``collapse_checks``.
 Each table of checks or of collapse rows is written as ``stem.csv`` and
 ``stem.json``, the JSON also keeping what the CSV has no column for.
 Rerunning a command with the same arguments reproduces every file byte
@@ -21,10 +25,11 @@ command imports the numeric layers it runs when it is dispatched, so
 lives in a numeric layer, build-profile's ``--neck-slope``, is read from
 ``bump.REFERENCE_NECK_SLOPE`` inside the command.
 
-Exit codes: 0 success; 1 when a verification fails or a construction
-claim fails (an infeasible build, or a profile.json whose stored grid,
-samples or constants disagree with its rebuild); 2 for usage, input and I/O
-errors (bad or unknown arguments, a missing file or directory, a profile
+Exit codes: 0 success; 1 when a check of ``verify`` or ``collapse`` fails
+(the tables are still written) or a construction claim fails (an
+infeasible build, or a profile.json whose stored grid, samples or
+constants disagree with its rebuild); 2 for usage, input and I/O errors
+(bad or unknown arguments, a missing file or directory, a profile
 document of unrecognized format or version, or with missing, extra or
 non-numeric keys); 141 (128 + SIGPIPE) when the reader of standard
 output closes it early, after every artifact has been written.
@@ -96,6 +101,26 @@ def cmd_build_profile(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _curvature_reports(profile, rmax: float, grid: int) -> list[VerificationReport]:
+    """The four ``standard_regions`` reports of ``profile`` on [0, rmax], then the sweep."""
+    from . import verify
+
+    reports = [verify.verify_region(profile, region, n_grid=grid)
+               for region in verify.standard_regions(profile, rmax)]
+    reports.append(verify.verify_nonneg(profile, r_max=rmax, n_grid=grid))
+    return reports
+
+
+def _print_reports(reports: list[VerificationReport]) -> int:
+    """A PASS/FAIL line per report, each failed check under it; the exit code."""
+    for rep in reports:
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.label}")
+        for check in rep.checks:
+            if not check.passed:
+                print("  " + check.describe())
+    return 0 if all(rep.passed for rep in reports) else 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -105,23 +130,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     profile = bump.load_profile(args.profile)
     if args.negative_control:
         profile = verify.negative_control(profile)
-    reports = [verify.verify_region(profile, region, n_grid=args.grid)
-               for region in verify.standard_regions(profile, args.rmax)]
-    reports.append(verify.verify_nonneg(profile, r_max=args.rmax, n_grid=args.grid))
+    reports = _curvature_reports(profile, args.rmax, args.grid)
     _write_reports(reports, args.out, "verification")
     radii = np.linspace(verify.R_FLOOR, args.rmax, args.grid)
     curve = ricci_curve(profile, radii)
     _write_csv(os.path.join(args.out, "ricci_curve.csv"), ["r", *verify.ENTRY_NAMES],
                np.column_stack([radii, curve.T]).tolist())
-    ok = True
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {rep.label}")
-        for check in rep.checks:
-            if not check.passed:
-                print("  " + check.describe())
-        ok = ok and rep.passed
-    return 0 if ok else 1
+    return _print_reports(reports)
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
@@ -131,16 +146,20 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         profile = bump.load_profile(args.profile)
     else:
         profile = bump.build_profile(args.neck_slope)
-    rows = spaces.collapse_experiment(profile, args.eps, n=args.n, seed=args.seed,
-                                      r_outer=args.rmax)
+    rows, report = spaces.collapse_experiment(profile, args.eps, n=args.n, seed=args.seed,
+                                              r_outer=args.rmax)
+    # verify's checks at its default grid: a slope where Ric >= 0 fails is
+    # flagged by failed checks, not rejected. Run after the collapse, so
+    # verify is not yet imported when the collapse peaks in memory
+    reports = [*_curvature_reports(profile, args.rmax, 1024), report]
     path = _write_table(args.out, "collapse", [f.name for f in fields(spaces.CollapseRow)],
                         map(astuple, rows),
                         {"seed": args.seed, "n": args.n, "rows": [asdict(r) for r in rows]},
                         note=f"seed {args.seed}")
-    diameters = [row.diameter for row in rows]
-    print(f"diameter max/min = {max(diameters) / min(diameters):.4f}")
+    _write_reports(reports, args.out, "collapse_checks")
+    code = _print_reports(reports)
     print(f"table written to {path}")
-    return 0
+    return code
 
 
 def cmd_obstruction(args: argparse.Namespace) -> int:

@@ -147,21 +147,18 @@ def test_metric_space_suite():
 def test_collapse_experiment():
     profile = bump.build_profile(0.05)
     t0 = time.time()
-    rows = collapse_experiment(profile, (1.0, 0.5, 0.25, 0.125), n=800, seed=0)
+    rows, report = collapse_experiment(profile, (1.0, 0.5, 0.25, 0.125), n=800, seed=0)
     elapsed = time.time() - t0
+    # gh_bound is a closed form linear in eps, so this decrease follows from
+    # the decreasing eps list; the measured gates are the report's
     gh = [row.gh_bound for row in rows]
-    diameters = [row.diameter for row in rows]
-    ratio = max(diameters) / min(diameters)
-    # on the tail no first-order edge is shorter than the cone chord
-    stretch_min = min(row.stretch_min for row in rows)
     ok = (all(b < a for a, b in zip(gh, gh[1:]))
-          and ratio <= 1.2
-          and stretch_min >= 1 - 1e-12
+          and report.passed
           and elapsed < 300.0)
     _report("collapse experiment", ok,
             f"gh {['%.3f' % g for g in gh]}, "
-            f"diam ratio {ratio:.3f}, "
-            f"stretch min {stretch_min:.10f}, {elapsed:.1f}s")
+            + ", ".join(f"{c.name} {c.value:.10g}" for c in report.checks)
+            + f", {elapsed:.1f}s")
     assert ok
 
 

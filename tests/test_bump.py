@@ -293,9 +293,9 @@ def test_rho_convexity(lab_profile):
 ], ids=["rho", "phi", "eta"])
 def test_a_nan_sample_fails_its_claim(eta, table, claim, build):
     # a NaN r1 makes the profiles NaN, and the holed bump is NaN on part of
-    # its plateau; each claim reduces its samples to NaN, which fails it
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ConstructionError, match=claim + r" \(measured nan, bound 0,"):
+    # its plateau; each claim reduces its samples to NaN, which fails it,
+    # with no warning on the way under the suite's filterwarnings = error
+    with pytest.raises(ConstructionError, match=claim + r" \(measured nan, bound 0,"):
         build(eta, table)
 
 

@@ -301,8 +301,15 @@ def test_collapse_table(tmp_path, capsys):
     lines = (tmp_path / "collapse.csv").read_text().splitlines()
     assert lines[1] == "eps,gh_bound,diameter,stretch_max,stretch_mean,stretch_min"
     assert len(lines) == 4
-    diameters = [float(line.split(",")[2]) for line in lines[2:]]
-    assert out.splitlines()[0] == f"diameter max/min = {max(diameters) / min(diameters):.4f}"
+    # the five curvature reports of verify, the collapse report, the table
+    heads = [line.split(" [")[0] for line in out.splitlines()]
+    assert heads == ["PASS Part1", "PASS Part2", "PASS Part3", "PASS Part4",
+                     "PASS nonnegativity sweep", "PASS collapse",
+                     f"table written to {tmp_path / 'collapse.csv'}"], out
+    doc = json.loads((tmp_path / "collapse_checks.json").read_text())
+    assert [rep["label"] for rep in doc][-1] == "collapse"
+    assert [check["name"] for check in doc[-1]["checks"]] == [
+        "gh_drawn/gh_bound", "stretch_min", "diameter max/min"]
 
 
 def test_collapse_json_rows(tmp_path):
@@ -317,6 +324,39 @@ def test_collapse_json_rows(tmp_path):
     for row, line in zip(doc["rows"], table):
         assert row == {key: float(value) for key, value in line.items()}
         assert 1.0 <= row["stretch_min"] <= row["stretch_mean"] <= row["stretch_max"]
+
+
+def test_collapse_flags_a_slope_past_the_curvature_range(tmp_path, capsys):
+    # the collapse premise holds up to c = 0.26, Ric >= 0 only up to 0.177:
+    # at 0.2 the run completes and writes every table, and the curvature
+    # checks of its own profile fail as verify's do
+    code = main(["collapse", "--out", str(tmp_path), "--neck-slope", "0.2",
+                 "--n", "120", "--eps", "1,0.5"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    heads = [line.split(" [")[0] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert heads == ["FAIL Part2", "FAIL nonnegativity sweep"], out
+    assert "PASS collapse" in out.splitlines()
+    assert sorted(os.listdir(tmp_path)) == ["collapse.csv", "collapse.json",
+                                            "collapse_checks.csv", "collapse_checks.json"]
+
+
+def test_collapse_and_verify_share_the_curvature_reports(built, tmp_path, capsys):
+    # one implementation builds and prints the reports of both commands
+    profile = str(built / "profile.json")
+    (tmp_path / "v").mkdir()
+    (tmp_path / "c").mkdir()
+    assert main(["verify", "--profile", profile, "--rmax", "8",
+                 "--out", str(tmp_path / "v")]) == 0
+    verified = capsys.readouterr().out
+    assert main(["collapse", "--profile", profile, "--rmax", "8", "--n", "60",
+                 "--eps", "1,0.5", "--out", str(tmp_path / "c")]) == 0
+    collapsed = capsys.readouterr().out
+    assert collapsed.splitlines()[:5] == verified.splitlines()
+    rows = _strip_timestamps((tmp_path / "c" / "collapse_checks.csv").read_text()).splitlines()
+    table = _strip_timestamps((tmp_path / "v" / "verification.csv").read_text()).splitlines()
+    assert rows[:len(table)] == table
+    assert [row.split(",")[0] for row in rows[len(table):]] == ["collapse"] * 3
 
 
 def test_collapse_tail_premise_failure_exits_2(tmp_path, capsys):
@@ -369,7 +409,8 @@ def test_collapse_on_the_reference_profile(built, tmp_path):
         eps = float(row["eps"])
         assert float(row["gh_bound"]) == spaces._annulus_bounds(c, offset, tail, eps)[0]
         assert float(row["stretch_mean"]) < 1.2
-        assert float(row["stretch_min"]) >= 1 - 1e-12
+    assert all(rep["passed"] for rep in
+               json.loads((tmp_path / "collapse_checks.json").read_text()))
 
 
 @pytest.mark.parametrize("rmax", ["1.0", "0.5"])

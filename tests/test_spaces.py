@@ -639,17 +639,17 @@ def test_collapse_validation(monkeypatch, lab_profile):
 
 
 def test_collapse_single_eps(lab_profile):
-    rows = collapse_experiment(lab_profile, (1.0,), n=100, seed=3)
+    rows, report = collapse_experiment(lab_profile, (1.0,), n=100, seed=3)
     assert len(rows) == 1
+    assert report.passed, report.describe()
     assert rows[0].gh_bound >= 0.0
 
 
 def test_collapse_small(lab_profile):
-    rows = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=220, seed=1)
+    rows, report = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=220, seed=1)
     gh = [row.gh_bound for row in rows]
-    diameters = [row.diameter for row in rows]
     assert all(b < a for a, b in zip(gh, gh[1:]))
-    assert max(diameters) / min(diameters) <= 1.25
+    assert report.passed, report.describe()
 
 
 def _tail_offset(profile):
@@ -670,7 +670,7 @@ def test_collapse_shares_one_graph_per_eps(lab_profile):
     # closed-form cone, with and without the apex shift eps*b/c; the pair
     # (s, t) is read from source s's directed Dijkstra row
     c = lab_profile.neck_slope
-    rows = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
+    rows, report = collapse_experiment(lab_profile, (1.0, 0.5), n=120, seed=3)
     for idx, row in enumerate(rows):
         radii, quats = spaces._draw_points([3, idx], 120, row.eps, 8.0, "q8")
         edges = neighbor_graph(radii, quats, "q8")
@@ -705,7 +705,8 @@ def test_collapse_gh_within_analytic_bound(lab_profile):
     c = lab_profile.neck_slope
     bound = _tail_offset(lab_profile) / c * np.sin(c * np.pi / 6)
     assert bound == pytest.approx(0.5170, abs=1e-4)
-    for row in collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=150, seed=1):
+    rows, report = collapse_experiment(lab_profile, (1.0, 0.5, 0.25), n=150, seed=1)
+    for row in rows:
         assert row.gh_bound == _closed_gap(lab_profile, row.eps)
         assert row.gh_bound == pytest.approx(row.eps * bound, rel=1e-12)
 
@@ -740,8 +741,8 @@ def test_collapse_checks_the_tail_identities_out_to_r(monkeypatch, lab_profile,
 
 def test_collapse_runs_at_the_last_slope_whose_premise_holds():
     # the whole-annulus margin is +0.010*eps at c = 0.25
-    rows = collapse_experiment(bump.build_profile(0.25), (1.0, 0.5), n=100, seed=1)
-    assert min(row.stretch_min for row in rows) >= 1 - 1e-12
+    rows, report = collapse_experiment(bump.build_profile(0.25), (1.0, 0.5), n=100, seed=1)
+    assert report.passed, report.describe()
 
 
 def test_collapse_checks_the_drawn_gap_against_the_closed_form(monkeypatch, lab_profile):
@@ -753,8 +754,23 @@ def test_collapse_checks_the_drawn_gap_against_the_closed_form(monkeypatch, lab_
         gap, margin = real(slope, offset, tail, eps)
         return 0.5 * gap, margin
     monkeypatch.setattr(spaces, "_annulus_bounds", halved)
-    with pytest.raises(RuntimeError, match=r"drawn pairs at eps = 1\.0 have a GH gap"):
-        collapse_experiment(lab_profile, (1.0, 0.5), n=100, seed=1)
+    _, report = collapse_experiment(lab_profile, (1.0, 0.5), n=100, seed=1)
+    assert _failed(report) == ["gh_drawn/gh_bound"], report.describe()
+    assert report.checks[0].value > 1.0
+
+
+def test_collapse_checks_the_least_stretch(monkeypatch, lab_profile):
+    # on the tail every first-order edge is at least its cone chord; halved
+    # edges make graph paths shorter than the cone, and only that gate fires
+    real = spaces.weigh
+    monkeypatch.setattr(spaces, "weigh", lambda *args: 0.5 * real(*args))
+    rows, report = collapse_experiment(lab_profile, (1.0, 0.5), n=100, seed=1)
+    assert _failed(report) == ["stretch_min"], report.describe()
+    assert report.checks[1].value == min(row.stretch_min for row in rows) < 0.6
+
+
+def _failed(report):
+    return [check.name for check in report.checks if not check.passed]
 
 
 def _closest_approach(ua, ub, theta, dist, slope):
