@@ -442,8 +442,7 @@ def smoothness_check(profile: ProfilePair) -> VerificationReport:
         BoundCheck("rho'''(0)", d3(rho, 1e-3), 0.0, kind="match", tol=1e-5),
         BoundCheck("(rho*phi)''(0)", d2(prod, 1e-4), 0.0, kind="match", tol=1e-6),
     )
-    return VerificationReport(label="axis smoothness", grid_size=5,
-                              tol=_AXIS_STEP, checks=checks)
+    return VerificationReport(label="axis smoothness", grid_size=5, checks=checks)
 
 
 # ---------------------------------------------------------------------------

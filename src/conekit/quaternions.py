@@ -1,11 +1,13 @@
-"""Unit-quaternion helpers for the 3-sphere and its quaternion-group quotient.
+"""Unit-quaternion helpers for the 3-sphere and its quaternion-group quotients.
 
 Conventions: components are ordered (w, x, y, z); the vector part spans
 the left-invariant directions X1, X2, X3, whose brackets satisfy
-``[Xi, Xj] = 2 eps_ijk Xk``.  The order-8 group {+-1, +-i, +-j, +-k} acts
-by left multiplication; left translations preserve every left-invariant
-metric, so the group acts by isometries of all the metrics in this
-package.
+``[Xi, Xj] = 2 eps_ijk Xk``.  The quotient groups, the trivial one and the
+order-8 group {+-1, +-i, +-j, +-k}, are named in ``QUOTIENTS``.  A group
+acts by left multiplication, and ``orbit`` is the one place that side is
+written: every product by a group element goes through it.  Left
+translations preserve every left-invariant metric, so the group acts by
+isometries of all the metrics in this package.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ import numpy as np
 __all__ = [
     "BASIS",
     "Q8",
+    "QUOTIENTS",
+    "quotient",
     "qmul",
     "qconj",
     "qlog_vec",
+    "orbit",
     "canonical_q8",
     "random_unit",
 ]
@@ -30,6 +35,16 @@ BASIS = np.array([
 ])
 
 Q8 = np.concatenate([BASIS, -BASIS])
+
+# per quotient group: its lifts (Q8's up to sign) and whether it is Q8
+QUOTIENTS = {"trivial": (BASIS[:1], False), "q8": (BASIS, True)}
+
+
+def quotient(name):
+    """The ``QUOTIENTS`` entry of a group name; ValueError for another name."""
+    if name not in QUOTIENTS:
+        raise ValueError(f"unknown group {name!r}: expected 'trivial' or 'q8'")
+    return QUOTIENTS[name]
 
 
 def qmul(a, b):
@@ -72,17 +87,26 @@ def qlog_vec(a):
     return v * factor[..., None]
 
 
+def orbit(q, elements):
+    """The translates g*q of q by the group ``elements``, shape (..., len(elements), 4).
+
+    The one product by a group element in the package, so the side the
+    group acts on is written here and nowhere else.
+    """
+    return qmul(elements, np.asarray(q, dtype=float)[..., None, :])
+
+
 def canonical_q8(q):
     """Lexicographically maximal element of the quaternion-group orbit.
 
-    Left multiplication by the group's basis elements permutes components
-    up to sign without rounding, so orbit equality is float-exact and the
+    Multiplication by the group's basis elements permutes components up to
+    sign without rounding, so orbit equality is float-exact and the
     canonical representative is a well-defined choice function.
     """
-    orbit = qmul(Q8, np.asarray(q, dtype=float)[..., None, :])  # (..., 8, 4)
-    keys = tuple(orbit[..., c] for c in (3, 2, 1, 0))  # last key is primary
+    points = orbit(q, Q8)  # (..., 8, 4)
+    keys = tuple(points[..., c] for c in (3, 2, 1, 0))  # last key is primary
     idx = np.lexsort(keys, axis=-1)[..., -1]
-    return np.take_along_axis(orbit, idx[..., None, None], axis=-2).squeeze(-2)
+    return np.take_along_axis(points, idx[..., None, None], axis=-2).squeeze(-2)
 
 
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:

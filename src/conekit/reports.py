@@ -94,12 +94,11 @@ class VerificationReport:
 
     For region verification the ``min_ge`` checks carry the per-entry grid
     minima against the declared bounds; the pass flag of each check is true
-    iff the minimum clears its bound minus the tolerance.
+    iff the minimum clears its bound minus its own tolerance.
     """
 
     label: str
     grid_size: int
-    tol: float
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -114,13 +113,12 @@ class VerificationReport:
         return {
             "label": self.label,
             "grid_size": self.grid_size,
-            "tol": self.tol,
             "passed": self.passed,
             "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
         }
 
     def describe(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        lines = [f"{status} {self.label} (grid {self.grid_size}, tol {self.tol:g})"]
+        lines = [f"{status} {self.label} (grid {self.grid_size})"]
         lines += ["  " + c.describe() for c in self.checks]
         return "\n".join(lines)

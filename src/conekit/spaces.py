@@ -5,9 +5,12 @@ stages: ``neighbor_graph`` picks edges by coordinate proximity, ``weigh``
 gives them first-order Riemannian lengths, and ``geodesics`` completes the
 weighted graph to a metric by all-pairs shortest paths.  The
 quaternion-group quotient is realized by minimizing edge lengths over the
-lifts 1, i, j, k of each endpoint, the sign folded out.  ``_chord`` is
-the exact distance of the metric cone over the round quotient, the ground
-truth the collapse experiment measures the graph against.
+lifts 1, i, j, k of each endpoint, the sign folded out.  The groups and
+their action live in ``quaternions``: ``quotient`` names a group's lifts
+and ``orbit`` is the one product by them, where the side is written.
+``_chord`` is the exact distance of the metric cone over the round
+quotient, the ground truth the collapse experiment measures the graph
+against.
 
 Work is split over the CPUs of the process's affinity mask by one helper,
 ``_in_blocks``: one contiguous block per CPU, the first run by the caller
@@ -44,7 +47,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .profiles import ProfilePair
-from .quaternions import BASIS, canonical_q8, qconj, qlog_vec, qmul, random_unit
+from .quaternions import canonical_q8, orbit, qconj, qlog_vec, qmul, quotient, random_unit
 from .reports import BoundCheck, VerificationReport
 
 __all__ = [
@@ -139,28 +142,19 @@ class SampledSpace:
 # sampling and graph construction
 # ---------------------------------------------------------------------------
 
-# per group: its lifts (Q8's up to sign) and whether it is Q8
-_GROUPS = {"trivial": (BASIS[:1], False), "q8": (BASIS, True)}
-
-
-def _group(name: str) -> tuple[np.ndarray, bool]:
-    if name not in _GROUPS:
-        raise ValueError(f"unknown group {name!r}: expected 'trivial' or 'q8'")
-    return _GROUPS[name]
-
-
 def _quotient_angles(qa: np.ndarray, qb: np.ndarray, group: str) -> np.ndarray:
     """Round quotient angles between fibers, shape (len(qa), len(qb)).
 
-    The angle is the arccos of the largest ``<g*qa_i, qb_j>`` over the lifts
-    g of the group, in absolute value for q8 (the sign covers the other
-    four).  The four component products are added in a fixed order by numpy
-    ufuncs, not by a BLAS product, so the bits do not depend on the BLAS kernel.
+    The angle is the arccos of the largest ``<g.qa_i, qb_j>`` over the
+    translates ``g.qa_i`` of qa_i by the lifts g of the group (``orbit``),
+    in absolute value for q8 (the sign covers the other four).  The four
+    component products are added in a fixed order by numpy ufuncs, not by
+    a BLAS product, so the bits do not depend on the BLAS kernel.
     """
-    lifts, q8 = _group(group)
+    lifts, q8 = quotient(group)
     best = np.empty((len(qa), len(qb)))
     cos, term = np.empty((2, *best.shape))  # freed on return, unlike ``best``
-    for g, lift in enumerate(qmul(lifts[:, None, :], qa)):
+    for g, lift in enumerate(np.moveaxis(orbit(qa, lifts), -2, 0)):
         out = cos if g else best  # the first lift's cosines start the maximum
         np.multiply.outer(lift[:, 0], qb[:, 0], out=out)
         for k in range(1, 4):
@@ -239,18 +233,18 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
     """Stage 2: first-order Riemannian lengths of the given point pairs.
 
     The chord between endpoint fibers is read off from the quaternion
-    logarithm of ``qa^-1 (g qb)``: its (i, j, k) components are the
-    left-invariant coframe values.  The squared length is
-    ``dr^2 + rho^2 (phi^2 a1^2 + a2^2 + a3^2)`` at midpoint profile values,
-    minimized over the lifts g of the far endpoint.  For q8 each relative
-    quaternion is flipped to ``w >= 0``: ``-g`` gives its exact negation, whose
-    logarithm (angle ``pi - theta``) is never shorter, so 1, i, j, k give the
-    minimum over all 8 lifts bit for bit.  Without the flip, an edge between
-    antipodal fibers (trivial group) has no logarithm axis: ValueError names
-    it.  The edges are weighed a block at a time; each length depends only on
-    its own edge.
+    logarithm of ``qa^-1 (g.qb)``, ``g.qb`` a translate of qb by a lift g
+    (``orbit``): its (i, j, k) components are the left-invariant coframe
+    values.  The squared length is ``dr^2 + rho^2 (phi^2 a1^2 + a2^2 +
+    a3^2)`` at midpoint profile values, minimized over the lifts g of the
+    far endpoint.  For q8 each relative quaternion is flipped to ``w >= 0``:
+    ``-g`` gives its exact negation, whose logarithm (angle ``pi - theta``)
+    is never shorter, so 1, i, j, k give the minimum over all 8 lifts bit
+    for bit.  Without the flip, an edge between antipodal fibers (trivial
+    group) has no logarithm axis: ValueError names it.  The edges are
+    weighed a block at a time; each length depends only on its own edge.
     """
-    lifts, q8 = _group(group)
+    lifts, q8 = quotient(group)
     out = np.empty(len(edges))
     # edges per pass: the (edges, lifts, 4) products hold _BLOCK floats
     step = max(1, _BLOCK // (4 * len(lifts)))
@@ -261,7 +255,7 @@ def weigh(profile: ProfilePair, radii, quats, edges, group) -> np.ndarray:
         mid = 0.5 * (radii[a] + radii[b])
         rho = np.asarray(profile.rho(mid), dtype=float)
         phi = np.asarray(profile.phi(mid), dtype=float)
-        rel = qmul(qconj(qa)[:, None, :], qmul(lifts, qb[:, None, :]))
+        rel = qmul(qconj(qa)[:, None, :], orbit(qb, lifts))
         if q8:
             rel = np.where(rel[..., :1] < 0, -rel, rel)
         # at w = -1 the log's axis is undefined; q8's flip leaves no w < 0
@@ -396,7 +390,7 @@ def _check_sample_size(n: int) -> None:
 
 def _draw_points(seed, n, r_in, r_out, group):
     """n points: stratified radii in [r_in, r_out], uniform (quotient) sphere fibers."""
-    _, q8 = _group(group)
+    _, q8 = quotient(group)
     _check_sample_size(n)
     rng = np.random.default_rng(seed)
     # stratified radii: one draw per bin of a uniform partition
@@ -643,7 +637,7 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
                                 stretch_min=min(stretch_min)))
     diameters = table[..., 1].max(1)  # each scale's
     check = functools.partial(BoundCheck.sampled, kind="max_le", tol=1e-12)
-    report = VerificationReport("collapse", n * len(eps_arr), 1e-12, (
+    report = VerificationReport("collapse", n * len(eps_arr), (
         check("gh_drawn/gh_bound", table[..., 0] / np.array(gaps)[:, None], 1.0),
         check("stretch_min", table[..., 3], 1.0, kind="min_ge"),
         check("diameter max/min", diameters.max() / diameters.min(), 1.2, tol=0.0)))

@@ -145,7 +145,7 @@ def _report(profile: ProfilePair, region: Region, n_grid: int,
     radii = _grid(lo, region.hi, n_grid)
     checks = _checks(region, profile, radii, ricci_curve(profile, radii), tol)
     return VerificationReport(label=f"{region.label} [{lo:.6g}, {region.hi:.6g}]",
-                              grid_size=len(radii), tol=tol, checks=tuple(checks))
+                              grid_size=len(radii), checks=tuple(checks))
 
 
 def verify_region(profile: ProfilePair, region: Region, n_grid: int = 1024,

@@ -341,6 +341,8 @@ def test_slope_ranges(lab_profile):
 def test_smoothness_default(reference_profile):
     report = bump.smoothness_check(reference_profile)
     assert report.passed, report.describe()
+    # each check compares at its own tolerance; the header restates none
+    assert report.describe().splitlines()[0] == "PASS axis smoothness (grid 5)"
 
 
 def test_smoothness_flags_linear_rho():

@@ -43,6 +43,7 @@ def test_build_profile_writes_artifacts(built):
     assert doc["format"] == "conekit-profile"
     (report,) = json.loads((built / "smoothness.json").read_text())
     assert report["passed"] and report["checks"]
+    assert set(report) == {"label", "grid_size", "passed", "checks"}  # tolerances are per check
 
 
 def test_build_profile_missing_out_dir(tmp_path):
@@ -282,6 +283,7 @@ def test_verify_json_format(built, tmp_path):
     assert len(reports) == 5
     assert all(rep["passed"] for rep in reports)
     assert all(rep["grid_size"] > 256 for rep in reports)  # plus the endpoint halvings
+    assert all(set(rep) == {"label", "grid_size", "passed", "checks"} for rep in reports)
     # the JSON holds every CSV row, value for value
     with open(tmp_path / "verification.csv", newline="") as fh:
         table = list(csv.DictReader(line for line in fh if not line.startswith("#")))

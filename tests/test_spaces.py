@@ -9,8 +9,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from conekit import bump, profiles, spaces
-from conekit.quaternions import BASIS, Q8, qconj, qlog_vec, qmul, random_unit
+from conekit import bump, profiles, quaternions, spaces
+from conekit.quaternions import BASIS, Q8, canonical_q8, qconj, qlog_vec, qmul, random_unit
 from conekit.spaces import (
     SampledSpace,
     collapse_experiment,
@@ -183,7 +183,7 @@ def test_unknown_group_is_rejected_before_any_work(monkeypatch, entry):
     # "Q8" once built the trivial quotient and recorded "Q8" as its group
     def fail(*args):
         raise AssertionError("work started")
-    for name in ("random_unit", "qmul"):
+    for name in ("random_unit", "qmul", "orbit"):
         monkeypatch.setattr(spaces, name, fail)
     with pytest.raises(ValueError, match="unknown group 'Q8': expected 'trivial' or 'q8'"):
         entry(profiles.round_profile())
@@ -532,6 +532,37 @@ def test_sample_distances_invariant_under_orbit_relabeling(lab_profile):
         relabeled[idx] = qmul(Q8[g_idx], relabeled[idx])
     moved = space_from_points(lab_profile, radii, relabeled, group="q8")
     assert np.abs(moved.dist - base.dist).max() <= 1e-12
+
+
+# the product g*q by a group element on each side, written out independently
+_SIDES = {"left": lambda g, q: qmul(g, q), "right": lambda g, q: qmul(q, g)}
+
+
+@pytest.mark.parametrize("side", sorted(_SIDES))
+def test_the_side_of_the_action_is_read_from_one_place(monkeypatch, side):
+    # with ``orbit`` switched to one side, the canonical representative and
+    # the graph distances must be invariant under translates on that side.
+    # The Berger fiber (phi = 0.3) is not bi-invariant, so a product by a
+    # lift written on the other side anywhere in ``canonical_q8``, ``weigh``
+    # or the quotient angles fails one of the two checks.
+    act = _SIDES[side]
+    translates = lambda q, elements: act(elements, np.asarray(q, dtype=float)[..., None, :])
+    monkeypatch.setattr(quaternions, "orbit", translates)
+    monkeypatch.setattr(spaces, "orbit", translates)
+    rng = np.random.default_rng(17)
+    q = random_unit(rng, 16)
+    base = canonical_q8(q)
+    for g in Q8:
+        assert np.array_equal(canonical_q8(act(g, q)), base)
+    radii = 1.0 + rng.uniform(size=80)
+    quats = random_unit(rng, 80)
+    profile = berger_profile(0.3)
+    before = space_from_points(profile, radii, quats, group="q8")
+    relabeled = quats.copy()
+    for idx, g_idx in zip((3, 17, 44), (1, 5, 6)):
+        relabeled[idx] = act(Q8[g_idx], relabeled[idx])
+    moved = space_from_points(profile, radii, relabeled, group="q8")
+    assert np.abs(moved.dist - before.dist).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
