@@ -15,10 +15,17 @@ come from the closed-form ``eta'``.  Every quadrature sums each point's
 nodes on its own, so a radius gets the same bits in any batch and under
 any BLAS kernel.
 
+The pieces of the construction meet at the radii :func:`breakpoints`
+returns, ``r1 + 1/16``, ``r1 + 3/16`` and ``r1 + 1/4``: the ends of rho's
+bump window, which is also the plateau of phi's bump, and the start of
+the conical tail.  It is their one declaration: the profiles' claims,
+``verify``'s regions and the collapse experiment's tail all read it.
+
 Every property claimed of the construction is certified on a grid at build
 time by the verifier's rule, :meth:`BoundCheck.sampled`, so a NaN sample
 fails it; a failed claim raises :class:`ConstructionError` naming the
-claim, its measured value and its bound.
+claim, its measured value and its bound.  :func:`load_profile` checks a
+stored document against its rebuild by the same rule.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ __all__ = [
     "make_eta",
     "build_table",
     "compute_r1",
+    "breakpoints",
     "make_phi",
     "make_rho",
     "build_profile",
@@ -325,15 +333,22 @@ def compute_r1(eta: BumpSpec) -> float:
     return r1
 
 
+def breakpoints(r1):
+    """The radii where the construction's pieces meet, for head length ``r1``:
+    ``r1 + PLATEAU``, the window of rho's bump and the plateau of phi's,
+    and ``r1 + 1/4``, where phi's bump ends and the conical tail starts."""
+    return r1 + PLATEAU[0], r1 + PLATEAU[1], r1 + _SUPPORT[1]
+
+
 def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable) -> RadialFunction:
     """The fiber profile ``phi(r) = 4r - int_0^r int_0^{t-r1} eta``.
 
-    Certified claims: slope 4 on [0, r1], slope 0 from 1/4 + r1 on,
-    value 1 at 1/4 + r1, phi <= 1 everywhere, phi > 0 for r > 0.  On the
-    tail phi' is 4 minus the table's mass, so the slope-0 claim is the mass
-    claim: the bump's mass is ``MASS`` to 1e-10.
+    Certified claims: slope 4 on [0, r1], slope 0 from the tail start
+    1/4 + r1 of :func:`breakpoints` on, value 1 there, phi <= 1 everywhere,
+    phi > 0 for r > 0.  On the tail phi' is 4 minus the table's mass, so
+    the slope-0 claim is the mass claim: the bump's mass is ``MASS`` to 1e-10.
     """
-    sup_hi = _SUPPORT[1]
+    tail_start = breakpoints(r1)[2]
 
     phi = RadialFunction([
         lambda r: 4.0 * r - table.antiderivative2(r - r1),
@@ -344,10 +359,10 @@ def make_phi(eta: BumpSpec, r1: float, table: QuadratureTable) -> RadialFunction
 
     head = np.linspace(0.0, r1, _PROFILE_CHECKS)
     _claim("phi' = 4 on [0, r1]", phi(head, 1) - 4.0, 0.0, kind="match", tol=1e-12)
-    tail = np.linspace(sup_hi + r1, sup_hi + r1 + 4.0, _PROFILE_CHECKS)
+    tail = np.linspace(tail_start, tail_start + 4.0, _PROFILE_CHECKS)
     _claim("phi' = 0 beyond 1/4 + r1", phi(tail, 1), 0.0, kind="match", tol=1e-10)
-    _claim("phi(1/4 + r1) = 1", phi(sup_hi + r1) - 1.0, 0.0, kind="match", tol=1e-10)
-    body = np.linspace(0.0, sup_hi + r1 + 4.0, 4 * _PROFILE_CHECKS)
+    _claim("phi(1/4 + r1) = 1", phi(tail_start) - 1.0, 0.0, kind="match", tol=1e-10)
+    body = np.linspace(0.0, tail_start + 4.0, 4 * _PROFILE_CHECKS)
     values = phi(body)
     _claim("phi <= 1", values, 1.0, kind="max_le", tol=1e-10)
     if not np.min(values[body > 0]) > 0.0:  # strict, and NaN fails too
@@ -361,10 +376,11 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
 
     ``rho(r) = 1 + delta * int_0^r int_0^t eta(2s - 1/8 - 2 r1) ds dt`` with
     delta chosen so the tail slope is exactly ``neck_slope``.  The shifted
-    bump is supported on [r1 + 1/16, r1 + 3/16], so rho == 1 before that
-    window, rho'' >= 0 everywhere and rho' == neck_slope after it.  The
-    tail is the cone over (S^3/Q8, c^2 round) with c = ``neck_slope``, a
-    cone over a shrunk link only when c < 1.
+    bump is supported on the window [r1 + 1/16, r1 + 3/16] of
+    :func:`breakpoints`, so rho == 1 before it, rho'' >= 0 everywhere and
+    rho' == neck_slope after it.  The tail is the cone over
+    (S^3/Q8, c^2 round) with c = ``neck_slope``, a cone over a shrunk link
+    only when c < 1.
     """
     if not 0 < neck_slope:  # NaN fails too
         raise ValueError("neck_slope must be positive")
@@ -372,7 +388,8 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
         raise ConstructionError(
             f"invalid neck slope {neck_slope!r}: the cone over (S^3/Q8, c^2 round) "
             "needs c < 1")
-    shift = 0.125 + 2.0 * r1
+    window = breakpoints(r1)[:2]
+    shift = 2.0 * window[0]  # 1/8 + 2*r1, as 2*(r1 + 1/16) rounds to the same bits
     # int_0^inf eta(2s - shift) ds = mass / 2, the tail slope per unit delta
     slope_integral = 0.5 * table.mass
     delta = neck_slope / slope_integral
@@ -385,9 +402,9 @@ def make_rho(eta: BumpSpec, r1: float, neck_slope: float,
     ])
 
     _claim("delta <= 32 * neck_slope", delta, 32.0 * neck_slope, kind="max_le", tol=0.0)
-    head = np.linspace(0.0, r1 + 1.0 / 16.0, _PROFILE_CHECKS)
+    head = np.linspace(0.0, window[0], _PROFILE_CHECKS)
     _claim("rho = 1 on [0, r1 + 1/16]", rho(head) - 1.0, 0.0, kind="match", tol=1e-13)
-    tail = np.linspace(r1 + 3.0 / 16.0, r1 + 4.0, _PROFILE_CHECKS)
+    tail = np.linspace(window[1], r1 + 4.0, _PROFILE_CHECKS)
     _claim("rho' = neck_slope on the tail", rho(tail, 1) - neck_slope, 0.0,
            kind="match", tol=1e-12 * neck_slope)
     body = np.linspace(0.0, r1 + 4.0, 4 * _PROFILE_CHECKS)
@@ -505,7 +522,9 @@ def load_profile(path: str) -> ProfilePair:
     those :func:`save_profile` writes, or a non-numeric value, and
     :class:`ConstructionError` when the stored grid, samples (compared on
     the rebuilt grid) or constants (the top-level neck slope against the
-    construction's among them) disagree with the rebuilt profile.
+    construction's among them) disagree with the rebuilt profile.  Each
+    quantity is a claim certified by :func:`_claim`, the build's rule, so
+    NaN fails it; only a grid of another length is refused before.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -526,22 +545,18 @@ def load_profile(path: str) -> ProfilePair:
         if params[key] != value:
             raise ValueError(f"profile key 'construction.{key}' is {params[key]!r}, not {value!r}")
     neck_slope = float(_numeric("construction.neck_slope", params["neck_slope"]))
-    stored_slope, r1, delta = (float(_numeric(key, doc[key]))
-                               for key in ("neck_slope", "r1", "delta"))
+    constants = {key: float(_numeric(key, doc[key])) for key in ("neck_slope", "r1", "delta")}
     profile = build_profile(neck_slope)
     grid = np.linspace(0.0, profile.r1 + 1.0, _SAMPLES)
     stored = _numeric("grid", doc["grid"], None).astype(float)
-    # written so that a NaN entry or a grid of another length fails
-    if not (stored.shape == grid.shape and np.max(np.abs(grid - stored)) <= 1e-12):
-        raise ConstructionError("stored grid disagrees with the rebuilt profile")
+    if stored.shape != grid.shape:
+        raise ConstructionError(f"claim failed: stored grid size {stored.size} != {_SAMPLES}")
+    _claim("stored grid = rebuilt grid", grid - stored, 0.0, kind="match", tol=1e-12)
     for key, fn in (("rho", profile.rho), ("phi", profile.phi)):
         stored = _numeric(key, doc[key], grid.shape).astype(float)
-        # written so that a NaN or infinite value fails
-        if not np.max(np.abs(fn(grid) - stored)) <= 1e-9:
-            raise ConstructionError(
-                f"stored {key} samples disagree with the rebuilt profile")
-    # written so that a NaN constant fails
-    if not (stored_slope == neck_slope and abs(profile.r1 - r1) <= 1e-12
-            and abs(profile.delta - delta) <= 1e-12 * abs(profile.delta)):
-        raise ConstructionError("stored constants disagree with the rebuilt profile")
+        _claim(f"stored {key} = rebuilt {key}", fn(grid) - stored, 0.0, kind="match", tol=1e-9)
+    # the rebuilt neck slope is the construction block's, which the build read
+    for key, tol in (("neck_slope", 0.0), ("r1", 1e-12), ("delta", 1e-12 * abs(profile.delta))):
+        _claim(f"stored {key} = rebuilt {key}", getattr(profile, key) - constants[key], 0.0,
+               kind="match", tol=tol)
     return profile

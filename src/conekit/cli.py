@@ -146,6 +146,9 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         profile = bump.load_profile(args.profile)
     else:
         profile = bump.build_profile(args.neck_slope)
+    tail = bump.breakpoints(profile.r1)[2]
+    if not args.rmax > tail:  # verify's regions need it; checked before the collapse
+        raise ValueError(f"--rmax {args.rmax!r} must exceed r1 + 1/4 = {tail:.6g}")
     rows, report = spaces.collapse_experiment(profile, args.eps, n=args.n, seed=args.seed,
                                               r_outer=args.rmax)
     # verify's checks at its default grid: a slope where Ric >= 0 fails is

@@ -46,6 +46,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
+from .bump import breakpoints
 from .profiles import ProfilePair
 from .quaternions import canonical_q8, orbit, qconj, qlog_vec, qmul, quotient, random_unit
 from .reports import BoundCheck, VerificationReport
@@ -532,8 +533,9 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
     For each scale eps the metric ``eps^2 g`` is compared with the exact
     cone over the round quotient link at slope ``c = profile.neck_slope`` on
     a sample of the annulus [eps, r_outer]; ``r_outer`` must exceed the
-    largest eps.  Beyond ``eps*(r1 + 1/4)`` the build certifies ``phi = 1``
-    and ``rho_eps(r) = c*r + eps*b``: the same cone, its apex shifted by
+    largest eps.  Beyond ``eps*t``, where ``t = r1 + 1/4`` is the tail
+    start of ``bump.breakpoints``, the build certifies ``phi = 1`` and
+    ``rho_eps(r) = c*r + eps*b``: the same cone, its apex shifted by
     ``eps*b/c``.  ``_annulus_bounds`` checks once, before any fork, that no
     geodesic leaves this tail (ValueError naming the slope otherwise), and
     ``gh_bound`` is its gap ``eps*(b/c)*sin(c*pi/6)``, linear in eps.  The
@@ -584,7 +586,7 @@ def collapse_experiment(profile: ProfilePair, eps_list=(1.0, 0.5, 0.25, 0.125),
         raise ValueError(f"seed = {seed!r} is not a valid seed: {exc}") from None
 
     slope = profile.neck_slope
-    tail = profile.r1 + 0.25
+    tail = breakpoints(profile.r1)[2]
     offset = float(profile.rho(tail)) - slope * tail  # b in rho = c*r + b on the tail
     gaps, margins = zip(*(_annulus_bounds(slope, offset, tail, eps) for eps in eps_arr))
     if not margins[0] >= 0:  # NaN fails too

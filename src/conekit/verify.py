@@ -1,7 +1,8 @@
 """Region-by-region certification of nonnegative Ricci curvature.
 
-The construction's curvature argument splits the radial line at
-r1 + 1/16, r1 + 3/16 and r1 + 1/4; each piece carries its own declared
+The construction's curvature argument splits the radial line at the
+build's breakpoints, r1 + 1/16, r1 + 3/16 and r1 + 1/4, read from
+``bump.breakpoints``; each piece carries its own declared
 bounds and auxiliary inequalities; the nonnegativity sweep is one more
 region, the whole line with every bound 0.  Verification here is sampling,
 not interval arithmetic: one builder, ``_report``, evaluates a region's
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bump import CEILING, FLOOR
+from .bump import CEILING, FLOOR, breakpoints
 from .frame import ricci_curve
 from .profiles import ProfilePair
 from .reports import BoundCheck, VerificationReport
@@ -62,11 +63,11 @@ class Region:
 
 
 def standard_regions(profile: ProfilePair, r_max: float = 3.0) -> tuple[Region, ...]:
-    """The four regions tiling [0, r_max] with shared endpoints."""
+    """The four regions tiling [0, r_max] with shared endpoints, cut at the
+    profile's ``breakpoints``."""
     if profile.r1 is None:
         raise ValueError("standard regions need a constructed profile (r1)")
-    r1 = profile.r1
-    cuts = (0.0, r1 + 1.0 / 16.0, r1 + 3.0 / 16.0, r1 + 0.25, r_max)
+    cuts = (0.0, *breakpoints(profile.r1), r_max)
     if r_max <= cuts[3]:
         raise ValueError("r_max must exceed r1 + 1/4")
     labels = ("Part1", "Part2", "Part3", "Part4")

@@ -1,13 +1,14 @@
 """Bump construction, quadrature tables, and profile certification."""
 
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conekit import bump
+from conekit import bump, spaces, verify
 from conekit.bump import ConstructionError
 from conekit.profiles import ProfilePair, constant_radial
 
@@ -282,6 +283,33 @@ def test_rho_reference_slope_delta():
 def test_rho_convexity(lab_profile):
     rs = np.linspace(0.0, 2.0, 2001)
     assert np.min(lab_profile.rho(rs, 2)) >= 0.0
+
+
+def _patch_breakpoints(monkeypatch, fake):
+    """Replace every module's binding of ``bump.breakpoints`` with ``fake``."""
+    real = bump.breakpoints
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conekit") and getattr(module, "breakpoints", None) is real:
+            monkeypatch.setattr(module, "breakpoints", fake)
+
+
+def test_breakpoints_are_read_from_one_place(monkeypatch, lab_profile):
+    r1 = lab_profile.r1
+    real = bump.breakpoints
+    assert real(r1) == (r1 + 1.0 / 16.0, r1 + 3.0 / 16.0, r1 + 0.25)
+    # verify's regions cut at whatever the breakpoints say
+    _patch_breakpoints(monkeypatch, lambda r: tuple(b + 0.01 for b in real(r)))
+    regions = verify.standard_regions(lab_profile, 3.0)
+    cuts = [0.0, r1 + 1.0 / 16.0 + 0.01, r1 + 3.0 / 16.0 + 0.01, r1 + 0.25 + 0.01, 3.0]
+    assert [(reg.lo, reg.hi) for reg in regions] == list(zip(cuts[:-1], cuts[1:]))
+    # a tail starting at r1 + 0.45 lies beyond the collapse's premise at c = 0.05
+    _patch_breakpoints(monkeypatch, lambda r: tuple(b + 0.2 for b in real(r)))
+    with pytest.raises(ValueError, match="tail premise fails at neck slope 0.05"):
+        spaces.collapse_experiment(lab_profile, (1.0, 0.5), n=50)
+    # a tail starting inside phi's falling bump fails the build's tail claim
+    _patch_breakpoints(monkeypatch, lambda r: (*real(r)[:2], r + 0.2))
+    with pytest.raises(ConstructionError, match="phi' = 0 beyond 1/4 \\+ r1"):
+        bump.build_profile(0.05)
 
 
 @pytest.mark.parametrize("claim, build", [

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conekit import spaces
 from conekit.bump import load_profile
 from conekit.cli import main
 from conekit.frame import ricci_curve
@@ -203,31 +204,30 @@ def _edited_profile(built, tmp_path, edit):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["rho"].__setitem__(10, doc["rho"][10] + 0.01), "stored rho samples"),
-    (lambda doc: doc["rho"].__setitem__(3, float("nan")), "stored rho samples"),
-    (lambda doc: doc.update(delta=float("nan")), "stored constants"),
-    (lambda doc: doc.update(delta=float("inf")), "stored constants"),
-    (lambda doc: doc.update(r1=float("nan")), "stored constants"),
-    (lambda doc: doc.update(grid=[], rho=[], phi=[]), "stored grid"),
-    (lambda doc: doc["grid"].__setitem__(3, float("nan")), "stored grid"),
-    (lambda doc: doc["grid"].__setitem__(10, doc["grid"][10] + 0.01), "stored grid"),
-    (lambda doc: doc.update(neck_slope=0.3), "stored constants"),
-    (lambda doc: doc.update(neck_slope=float("nan")), "stored constants"),
+    (lambda doc: doc["rho"].__setitem__(10, doc["rho"][10] + 0.01), "stored rho ="),
+    (lambda doc: doc["rho"].__setitem__(3, float("nan")), "stored rho ="),
+    (lambda doc: doc.update(delta=float("nan")), "stored delta ="),
+    (lambda doc: doc.update(delta=float("inf")), "stored delta ="),
+    (lambda doc: doc.update(r1=float("nan")), "stored r1 ="),
+    (lambda doc: doc.update(grid=[], rho=[], phi=[]), "stored grid size 0 != 33"),
+    (lambda doc: doc["grid"].__setitem__(3, float("nan")), "stored grid ="),
+    (lambda doc: doc["grid"].__setitem__(10, doc["grid"][10] + 0.01), "stored grid ="),
+    (lambda doc: doc.update(neck_slope=0.3), "stored neck_slope ="),
+    (lambda doc: doc.update(neck_slope=float("nan")), "stored neck_slope ="),
 ], ids=["shifted-rho-sample", "nan-rho-sample", "nan-delta", "inf-delta", "nan-r1",
         "empty-samples", "nan-grid-entry", "shifted-grid-entry", "other-neck-slope",
         "nan-neck-slope"])
 def test_verify_tampered_profile_is_a_construction_failure(built, tmp_path, capsys,
                                                             edit, message):
-    # NaN fails every comparison and inf > inf is false, so each check must
-    # fail unless its error is within tolerance; the samples are compared on
-    # the rebuilt grid, so a tampered grid is never evaluated and warns of
-    # nothing
+    # each stored quantity is a construction claim, which NaN and inf fail;
+    # the samples are compared on the rebuilt grid, so a tampered grid is
+    # never evaluated and warns of nothing
     path, out = _edited_profile(built, tmp_path, edit)
     code = main(["verify", "--profile", str(path), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith(f"construction failed: {message} disagree")
+    assert err.startswith(f"construction failed: claim failed: {message}")
     assert list(out.iterdir()) == []
 
 
@@ -385,6 +385,21 @@ def test_collapse_eps_past_the_tail_identities_exits_2(tmp_path, capsys, eps, le
     err = capsys.readouterr().err
     assert f"tail identities fail at the smallest eps {least}:" in err
     assert f"R = r_outer/eps = {far}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rmax", ["0.3", "0.375"])
+def test_collapse_rmax_below_the_tail_start_exits_2_before_the_collapse(
+        tmp_path, capsys, monkeypatch, rmax):
+    # verify's Part4 starts at r1 + 1/4 = 0.375, so a smaller --rmax is
+    # refused before the collapse runs
+    def ran(*args, **kwargs):
+        raise AssertionError("collapse_experiment ran")
+
+    monkeypatch.setattr(spaces, "collapse_experiment", ran)
+    code = main(["collapse", "--out", str(tmp_path), "--rmax", rmax, "--eps", "0.25,0.1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --rmax {rmax} must exceed r1 + 1/4 = 0.375\n"
     assert list(tmp_path.iterdir()) == []
 
 
